@@ -7,16 +7,14 @@ two against each other.
 """
 
 from .closedform import ClosedForm, In_exact_real, closed_form, double_factorial_odd
-from .elliptic import agm, ellip_k
-from .polynomials import Polynomial
+from .elliptic import ellip_k
 from .precision import (
     DEFAULT_PRECISION,
-    ConvergenceError,
     DomainError,
     Precision,
     ToleranceNotReached,
 )
-from .quadfield import QuadExt, Surd, surd_denest, surd_normalize
+from .quadfield import QuadExt, Surd, surd_normalize
 from .quadrature import (
     I0_via_swap,
     IntegralSpec,
@@ -51,12 +49,10 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "agm",
     "ellip_k",
     "Precision",
     "DEFAULT_PRECISION",
     "DomainError",
-    "ConvergenceError",
     "ToleranceNotReached",
     "tanh_sinh_integrate",
     "QuadratureResult",
@@ -65,11 +61,9 @@ __all__ = [
     "inner_integral_numeric",
     "inner_integral_closed",
     "I0_via_swap",
-    "Polynomial",
     "QuadExt",
     "Surd",
     "surd_normalize",
-    "surd_denest",
     "ClosedForm",
     "closed_form",
     "In_exact_real",

@@ -15,14 +15,9 @@ import sys
 from fractions import Fraction
 
 from .closedform import In_exact_real
-from .precision import (
-    ConvergenceError,
-    DomainError,
-    Precision,
-    ToleranceNotReached,
-)
+from .precision import DomainError, Precision, ToleranceNotReached
 from .quadrature import IntegralSpec, integral_In_numeric
-from .render import render
+from .render import render, render_quadext
 from .specialvalues import CATALOG, eval_at_special, relation
 from .verify import SuiteConfig, run_suite
 
@@ -45,15 +40,22 @@ def _parse_z(text: str) -> Fraction:
 def _precision(args) -> Precision:
     tol = getattr(args, "tol", None)
     if tol is None:
-        tol = float(os.environ.get("ELLIPKINT_TOL", "1e-12"))
+        text = os.environ.get("ELLIPKINT_TOL", "1e-12")
+        try:
+            tol = float(text)
+        except ValueError:
+            raise DomainError(f"ELLIPKINT_TOL must be a number, got {text!r}") from None
     return Precision(abs_tol=tol)
 
 
 def _emit(args, text: str):
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise DomainError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         print(text)
 
@@ -102,18 +104,10 @@ def _identity_line(n: int, label: str, fmt: str):
     if fmt == "json":
         return {"n": n, "point": label, "value": render(value, "json")}
     body = render(value, fmt)
+    z = render_quadext(point.z, fmt)
     if fmt == "latex":
-        return f"I_{{{n}}}({_point_z_text(point, fmt)}) = {body}"
-    return f"I_{n}({_point_z_text(point, fmt)}) = {body}"
-
-
-def _point_z_text(point, fmt: str) -> str:
-    z = point.z
-    if z.b == 0:
-        return str(z.a)
-    if fmt == "latex":
-        return f"{z.a}+{z.b}\\sqrt{{{z.d}}}"
-    return f"{z.a}+{z.b}*sqrt({z.d})"
+        return f"I_{{{n}}}({z}) = {body}"
+    return f"I_{n}({z}) = {body}"
 
 
 def cmd_identity(args) -> int:
@@ -225,7 +219,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ToleranceNotReached, ConvergenceError) as exc:
+    except ToleranceNotReached as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

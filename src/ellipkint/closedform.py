@@ -11,6 +11,12 @@ shape closes under differentiation:
     B_{m+1} = 2z(z+1)B'_m - ((4m+1)z + 2m)B_m - A_m
     c_{m+1} = 2*c_m
 
+On the coefficients a_j, b_j of z**j in A_m, B_m (zero outside their range)
+the first two lines read
+
+    a_j -> (2j-2m-1)*a_j + 2(j-2m-2)*a_{j-1}
+    b_j -> 2(j-m)*b_j + (2j-4m-3)*b_{j-1} - a_j
+
 The family value is then I_n(z) = (-2)**n / (2n+1)!! * F^(n)(z).  The
 recurrence is cross-checked against quadrature and finite differences by the
 verification suite before anything downstream trusts it.
@@ -18,18 +24,14 @@ verification suite before anything downstream trusts it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 from mpmath import mpf
 
-from .polynomials import Polynomial
 from .precision import DomainError, to_mpf
-
-_Z = Polynomial([0, 1])
-_TWO_Z_ZP1 = Polynomial([0, 2, 2])  # 2z(z+1)
 
 
 def double_factorial_odd(n: int) -> int:
@@ -42,9 +44,11 @@ def double_factorial_odd(n: int) -> int:
 
 @dataclass(frozen=True)
 class ClosedForm:
+    """A_n, B_n as integer coefficients in ascending powers of z; B_0 = ()."""
+
     n: int
-    A: Polynomial
-    B: Polynomial
+    A: tuple[int, ...]
+    B: tuple[int, ...]
     c: int
 
     @property
@@ -53,27 +57,39 @@ class ClosedForm:
         return Fraction((-2) ** self.n, double_factorial_odd(self.n) * self.c)
 
 
-@lru_cache(maxsize=None)
+def _next_form(form: ClosedForm) -> ClosedForm:
+    m = form.n
+    # zero-padded on both sides: a[j + 1] and b[j + 1] multiply z**j
+    a = (0, *form.A, 0)
+    b = (0, *form.B, 0)
+    return ClosedForm(
+        m + 1,
+        tuple((2 * j - 2 * m - 1) * a[j + 1] + 2 * (j - 2 * m - 2) * a[j] for j in range(m + 2)),
+        tuple(2 * (j - m) * b[j + 1] + (2 * j - 4 * m - 3) * b[j] - a[j + 1] for j in range(m + 1)),
+        2 * form.c,
+    )
+
+
+# closed_form(n) for every n < len(_FORMS), extended in order under _FORMS_LOCK
+_FORMS = [ClosedForm(0, (1,), (), 1)]
+_FORMS_LOCK = threading.Lock()
+
+
 def closed_form(n: int) -> ClosedForm:
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
-    if n == 0:
-        return ClosedForm(0, Polynomial([1]), Polynomial(), 1)
-    prev = closed_form(n - 1)
-    m = n - 1
-    A = _TWO_Z_ZP1 * prev.A.derivative() - (2 * m + 1) * Polynomial([1, 2]) * prev.A
-    B = (
-        _TWO_Z_ZP1 * prev.B.derivative()
-        - Polynomial([2 * m, 4 * m + 1]) * prev.B
-        - prev.A
-    )
-    return ClosedForm(n, A, B, 2 * prev.c)
+    if n >= len(_FORMS):
+        with _FORMS_LOCK:
+            while len(_FORMS) <= n:
+                _FORMS.append(_next_form(_FORMS[-1]))
+    return _FORMS[n]
 
 
-def _poly_mpf(p: Polynomial, z: mpf) -> mpf:
-    value = mpf(0)
-    for c in reversed(p.coefficients):
-        value = value * z + to_mpf(c)
+def _horner(coefficients, x):
+    """sum(c * x**i for i, c in enumerate(coefficients)); x is mpf or QuadExt."""
+    value = 0
+    for c in reversed(coefficients):
+        value = value * x + c
     return value
 
 
@@ -87,7 +103,7 @@ def In_exact_real(n: int, z, dps: int = 40) -> mpf:
             raise DomainError("z must be positive")
         form = closed_form(n)
         arccot = mpmath.atan(1 / mpmath.sqrt(z))
-        bracket = _poly_mpf(form.A, z) * arccot / mpmath.sqrt(z * (z + 1)) + _poly_mpf(
+        bracket = _horner(form.A, z) * arccot / mpmath.sqrt(z * (z + 1)) + _horner(
             form.B, z
         ) / mpmath.sqrt(z + 1)
         return to_mpf(form.prefactor) * bracket / (z * (z + 1)) ** n

@@ -9,34 +9,7 @@ from __future__ import annotations
 import mpmath
 from mpmath import mpf
 
-from .precision import (
-    DEFAULT_PRECISION,
-    ConvergenceError,
-    DomainError,
-    Precision,
-    to_mpf,
-)
-
-
-def agm(a, b, prec: Precision = DEFAULT_PRECISION) -> mpf:
-    """Common limit of a_{i+1}=(a_i+b_i)/2, b_{i+1}=sqrt(a_i*b_i).
-
-    Stops when |a_i - b_i| <= prec.abs_tol.  Raises ConvergenceError if the
-    bracket has not closed after prec.max_iterations steps.
-    """
-    with prec.workdps():
-        a = to_mpf(a)
-        b = to_mpf(b)
-        if a <= 0 or b <= 0:
-            raise DomainError("agm requires strictly positive arguments")
-        tol = to_mpf(prec.abs_tol)
-        for _ in range(prec.max_iterations):
-            if abs(a - b) <= tol:
-                return (a + b) / 2
-            a, b = (a + b) / 2, mpmath.sqrt(a * b)
-        raise ConvergenceError(
-            f"agm did not close to {prec.abs_tol} within {prec.max_iterations} iterations"
-        )
+from .precision import DEFAULT_PRECISION, DomainError, Precision, to_mpf
 
 
 def ellip_k(k, prec: Precision = DEFAULT_PRECISION) -> mpf:
@@ -50,12 +23,4 @@ def ellip_k(k, prec: Precision = DEFAULT_PRECISION) -> mpf:
             raise DomainError(f"modulus must satisfy 0 <= k < 1, got {k}")
         # (1-k)(1+k) avoids cancellation when k is close to 1
         kp = mpmath.sqrt((1 - k) * (1 + k))
-        # AGM tolerance tracks the working precision, not prec.abs_tol:
-        # the quadratic convergence makes the extra digits nearly free.
-        agm_prec = Precision(
-            abs_tol=float(mpf(10) ** (-prec.dps - 5)),
-            max_iterations=prec.max_iterations,
-            max_level=prec.max_level,
-            dps=prec.dps,
-        )
-        return mpmath.pi / (2 * agm(1, kp, agm_prec))
+        return mpmath.pi / (2 * mpmath.agm(1, kp))

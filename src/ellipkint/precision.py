@@ -13,10 +13,6 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iteration failed to converge within its budget."""
-
-
 class ToleranceNotReached(RuntimeError):
     """Quadrature exhausted its refinement levels above the requested tolerance."""
 
@@ -29,22 +25,18 @@ class ToleranceNotReached(RuntimeError):
 class Precision:
     """Numeric working parameters.
 
-    abs_tol        target absolute error for iterations / quadrature
-    max_iterations AGM iteration budget
-    max_level      tanh-sinh refinement levels (step halves per level)
-    dps            significant decimal digits carried by the float type
+    abs_tol    target absolute error for quadrature
+    max_level  tanh-sinh refinement levels (step halves per level)
+    dps        significant decimal digits carried by the float type
     """
 
     abs_tol: float = 1e-12
-    max_iterations: int = 200
     max_level: int = 12
     dps: int = 40
 
     def __post_init__(self):
         if self.abs_tol <= 0:
             raise DomainError("abs_tol must be positive")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
         if self.max_level < 1:
             raise DomainError("max_level must be >= 1")
         if self.dps < 15:

@@ -5,8 +5,7 @@ the plain rationals).  Surd is a formal sqrt of a positive QuadExt with a
 rational scale factor pulled out front; normalization extracts rational
 square factors from the radicand and demotes radicands that are perfect
 squares inside their own field.  Square factors whose root leaves the field
-(e.g. 2+sqrt(3) = (1+sqrt(3))**2 / 2) are deliberately left nested; see
-surd_denest for the optional cosmetic rewrite.
+(e.g. 2+sqrt(3) = (1+sqrt(3))**2 / 2) are deliberately left nested.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ class QuadExt:
     # -- coercion ---------------------------------------------------------
 
     @staticmethod
-    def _coerce(x, d: int) -> "QuadExt":
+    def _coerce(x) -> "QuadExt":
         if isinstance(x, QuadExt):
             return x
         if isinstance(x, (int, Fraction)):
@@ -97,7 +96,7 @@ class QuadExt:
 
     def __add__(self, other):
         try:
-            other = self._coerce(other, self.d)
+            other = self._coerce(other)
         except TypeError:
             return NotImplemented
         d = self._same_field(other)
@@ -110,7 +109,7 @@ class QuadExt:
 
     def __sub__(self, other):
         try:
-            other = self._coerce(other, self.d)
+            other = self._coerce(other)
         except TypeError:
             return NotImplemented
         return self + (-other)
@@ -120,7 +119,7 @@ class QuadExt:
 
     def __mul__(self, other):
         try:
-            other = self._coerce(other, self.d)
+            other = self._coerce(other)
         except TypeError:
             return NotImplemented
         d = self._same_field(other)
@@ -140,7 +139,7 @@ class QuadExt:
 
     def __truediv__(self, other):
         try:
-            other = self._coerce(other, self.d)
+            other = self._coerce(other)
         except TypeError:
             return NotImplemented
         if other.is_zero():
@@ -152,7 +151,7 @@ class QuadExt:
         return QuadExt(num.a / n, num.b / n, d)
 
     def __rtruediv__(self, other):
-        return self._coerce(other, self.d) / self
+        return self._coerce(other) / self
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -274,30 +273,3 @@ def surd_normalize(s: Surd) -> Union[Surd, QuadExt]:
     if root is not None:
         return scale * root
     return Surd(radicand, scale)
-
-
-def surd_denest(s: Surd) -> Optional[tuple[Surd, Surd]]:
-    """Denest sqrt(a + b*sqrt(d)) as sqrt(x) + sqrt(y) when possible.
-
-    Works when rho = sqrt(a**2 - b**2*d) is rational; then
-    sqrt(a + b*sqrt(d)) = sqrt((a+rho)/2) + sign(b)*sqrt((a-rho)/2).
-    Returns the two rational-radicand surds of the sum, or None.  This is a
-    cosmetic rewrite (the result leaves Q(sqrt(d))) and is never applied
-    automatically.
-    """
-    r = s.radicand
-    if r.b == 0:
-        return None
-    rho = _sqrt_fraction(r.norm())
-    if rho is None:
-        return None
-    first = (r.a + rho) / 2
-    second = (r.a - rho) / 2
-    if second < 0:
-        return None
-    sign = 1 if r.b > 0 else -1
-    lhs = surd_normalize(Surd(QuadExt(first), s.scale))
-    rhs = surd_normalize(Surd(QuadExt(second), s.scale * sign))
-    def as_surd(x):
-        return x if isinstance(x, Surd) else Surd(QuadExt(Fraction(1)), x.a)
-    return as_surd(lhs), as_surd(rhs)

@@ -21,67 +21,61 @@ def _split_coeff(coeff: QuadExt) -> tuple[int, int, int, int]:
     return na, nb, coeff.d, q
 
 
-def _radicand_text(r: QuadExt) -> str:
+# per-format pieces: a square root, the product sign between a numeral and
+# sqrt/pi, pi itself, a grouped product, a fraction and a term separator
+_STYLES = {
+    "text": {
+        "sqrt": "sqrt({})",
+        "times": "*",
+        "pi": "pi",
+        "group": "({})",
+        "frac": "{}/{}",
+        "sep": " {} ",
+    },
+    "latex": {
+        "sqrt": "\\sqrt{{{}}}",
+        "times": "",
+        "pi": "\\pi",
+        "group": "{}",
+        "frac": "\\frac{{{}}}{{{}}}",
+        "sep": "{}",
+    },
+}
+
+
+def render_quadext(r: QuadExt, format: str = "text") -> str:
+    """a+b*sqrt(d) as text or LaTeX, as printed under a radical or as a point z."""
     if r.b == 0:
         return str(r.a)
+    style = _STYLES[format]
     sign = "+" if r.b > 0 else "-"
     b = abs(r.b)
-    b_part = f"sqrt({r.d})" if b == 1 else f"{b}*sqrt({r.d})"
-    return f"{r.a}{sign}{b_part}"
-
-def _radicand_latex(r: QuadExt) -> str:
-    if r.b == 0:
-        return str(r.a)
-    sign = "+" if r.b > 0 else "-"
-    b = abs(r.b)
-    b_part = f"\\sqrt{{{r.d}}}" if b == 1 else f"{b}\\sqrt{{{r.d}}}"
-    return f"{r.a}{sign}{b_part}"
+    root = style["sqrt"].format(r.d)
+    return f"{r.a}{sign}{root}" if b == 1 else f"{r.a}{sign}{b}{style['times']}{root}"
 
 
-def _term_text(coeff: QuadExt, surd: Surd, with_pi: bool) -> tuple[int, str]:
+def _term(coeff: QuadExt, surd: Surd, with_pi: bool, format: str) -> tuple[int, str]:
+    style = _STYLES[format]
     sign = coeff.sign()
     na, nb, d, q = _split_coeff(abs(coeff))
+    times = style["times"]
     if nb == 0:
         numerator = str(na)
-        simple_one = na == 1
     else:
-        inner = f"{na}+{nb}*sqrt({d})" if nb > 0 else f"{na}-{-nb}*sqrt({d})"
-        numerator = f"({inner})"
-        simple_one = False
+        nb_sign = "+" if nb > 0 else "-"
+        numerator = f"({na}{nb_sign}{abs(nb)}{times}{style['sqrt'].format(d)})"
     if with_pi:
-        numerator = "pi" if simple_one else f"{numerator}*pi"
+        numerator = style["pi"] if numerator == "1" else f"{numerator}{times}{style['pi']}"
+    parts = [str(q)] if q != 1 else []
     rad = surd.radicand
-    has_surd = not (rad.b == 0 and rad.a == 1)
-    if not has_surd:
-        return sign, numerator if q == 1 else f"{numerator}/{q}"
-    surd_text = f"sqrt({_radicand_text(rad)})"
-    if q == 1:
-        return sign, f"{numerator}/{surd_text}"
-    return sign, f"{numerator}/({q}*{surd_text})"
-
-
-def _term_latex(coeff: QuadExt, surd: Surd, with_pi: bool) -> tuple[int, str]:
-    sign = coeff.sign()
-    na, nb, d, q = _split_coeff(abs(coeff))
-    if nb == 0:
-        numerator = str(na)
-        simple_one = na == 1
-    else:
-        inner = f"{na}+{nb}\\sqrt{{{d}}}" if nb > 0 else f"{na}-{-nb}\\sqrt{{{d}}}"
-        numerator = f"({inner})"
-        simple_one = False
-    if with_pi:
-        numerator = "\\pi" if simple_one else f"{numerator}\\pi"
-    rad = surd.radicand
-    has_surd = not (rad.b == 0 and rad.a == 1)
-    denominator = ""
-    if q != 1:
-        denominator = str(q)
-    if has_surd:
-        denominator += f"\\sqrt{{{_radicand_latex(rad)}}}"
-    if not denominator:
+    if not (rad.b == 0 and rad.a == 1):
+        parts.append(style["sqrt"].format(render_quadext(rad, format)))
+    if not parts:
         return sign, numerator
-    return sign, f"\\frac{{{numerator}}}{{{denominator}}}"
+    denominator = times.join(parts)
+    if len(parts) > 1:
+        denominator = style["group"].format(denominator)
+    return sign, style["frac"].format(numerator, denominator)
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -128,20 +122,13 @@ def render(v: ExactValue, format: str = "text", term_order: str = "alg_first"):
         raise DomainError(f"unknown term order {term_order!r}; choose from {TERM_ORDERS}")
     if format == "json":
         return exact_value_to_json(v)
-    term_fn = _term_text if format == "text" else _term_latex
-    terms = []
     pi_term = (v.pi_coeff, v.pi_surd, True)
     alg_term = (v.alg_coeff, v.alg_surd, False)
     ordered = (alg_term, pi_term) if term_order == "alg_first" else (pi_term, alg_term)
-    for coeff, surd, with_pi in ordered:
-        if coeff.is_zero():
-            continue
-        terms.append(term_fn(coeff, surd, with_pi))
+    terms = [_term(*term, format) for term in ordered if not term[0].is_zero()]
     if not terms:
         return "0"
-    sep_plus = " + " if format == "text" else "+"
-    sep_minus = " - " if format == "text" else "-"
     out = ("-" if terms[0][0] < 0 else "") + terms[0][1]
     for sign, body in terms[1:]:
-        out += (sep_minus if sign < 0 else sep_plus) + body
+        out += _STYLES[format]["sep"].format("-" if sign < 0 else "+") + body
     return out

@@ -9,6 +9,7 @@ engine against the hard-coded published value tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -200,7 +201,7 @@ def check_inner_closed_form(
 
 # -- published value tables, stored as exact data ---------------------------
 
-def _rational_value(pi_c, pi_rad, alg_c, alg_rad, d: int = 1) -> ExactValue:
+def _rational_value(pi_c, pi_rad, alg_c, alg_rad) -> ExactValue:
     def lift(x):
         return x if isinstance(x, QuadExt) else QuadExt(Fraction(x), Fraction(0), 1)
 
@@ -341,15 +342,13 @@ def check_relations(
 
 def check_structure(n_max: int = 12) -> CheckReport:
     """Degrees, scale factors and leading coefficients of the closed forms."""
-    import math as _math
-
     ok = True
     for n in range(n_max + 1):
         form = closed_form(n)
-        ok &= form.A.degree == n
-        ok &= form.B.degree == (n - 1 if n >= 1 else -1)
+        ok &= len(form.A) == n + 1 and len(form.B) == n
+        ok &= not form.B or form.B[-1] != 0  # deg B_n is exactly n - 1
         ok &= form.c == 2**n
-        ok &= form.A.leading_coefficient == Fraction((-1) ** n * 2**n * _math.factorial(n))
+        ok &= form.A[-1] == (-1) ** n * 2**n * math.factorial(n)
     return CheckReport(
         name=f"closed-form structure, n<={n_max}",
         max_abs_error=0.0,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -130,3 +131,42 @@ def test_env_tolerance(monkeypatch, capsys):
     monkeypatch.setenv("ELLIPKINT_TOL", "1e-6")
     code, _, _ = run(capsys, "eval", "--n", "0", "--z", "2", "--method", "numeric")
     assert code == 0
+
+
+def test_env_tolerance_not_a_number(monkeypatch, capsys):
+    monkeypatch.setenv("ELLIPKINT_TOL", "abc")
+    code, _, err = run(capsys, "eval", "--n", "0", "--z", "1")
+    assert code == 2
+    assert err.startswith("error: ") and "ELLIPKINT_TOL" in err
+
+
+def test_out_file_unwritable(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "eval", "--n", "0", "--z", "1", "--out", str(target))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+# sha256 of the whole stdout, pinned from the output before the text and
+# LaTeX renderers were merged into one
+TABLE_DIGESTS = {
+    "text": "cb9087f8f1ace09d92e77289fe6cb318d65a3dc5b850e7dff5c5ee4c34ab33e9",
+    "latex": "ecf0048ee8e7e7922d0535bb598d4097a67fa92e539a8c550c1f0cd33b34a98e",
+    "json": "b09739e255ae3b10521c84f11c613c5cc846f224d818b1b3fdaf2bfd1fd95980",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TABLE_DIGESTS))
+def test_table_golden_digest(capsys, fmt):
+    code, out, _ = run(
+        capsys,
+        "table",
+        "--max-n",
+        "12",
+        "--points",
+        "1,3,1/3,cot2-pi-10,cot2-pi-12",
+        "--format",
+        fmt,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[fmt]

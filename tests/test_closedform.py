@@ -1,17 +1,17 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mpf
 
-from ellipkint import (
-    DomainError,
-    In_exact_real,
-    Polynomial,
-    closed_form,
-    double_factorial_odd,
-)
+import ellipkint
+from ellipkint import DomainError, In_exact_real, closed_form, double_factorial_odd
 
 F = Fraction
 
@@ -22,32 +22,55 @@ def test_double_factorial():
 
 def test_base_case():
     form = closed_form(0)
-    assert form.A == Polynomial([1])
-    assert form.B.is_zero()
+    assert form.A == (1,)
+    assert form.B == ()
     assert form.c == 1
 
 
 def test_first_derivative():
     form = closed_form(1)
-    assert form.A == Polynomial([-1, -2])   # -(2z+1)
-    assert form.B == Polynomial([-1])
+    assert form.A == (-1, -2)   # -(2z+1)
+    assert form.B == (-1,)
     assert form.c == 2
 
 
 def test_second_derivative():
     form = closed_form(2)
-    assert form.A == Polynomial([3, 8, 8])
-    assert form.B == Polynomial([3, 7])
+    assert form.A == (3, 8, 8)
+    assert form.B == (3, 7)
     assert form.c == 4
 
 
 @pytest.mark.parametrize("n", range(13))
 def test_structure_invariants(n):
     form = closed_form(n)
-    assert form.A.degree == n
-    assert form.B.degree == (n - 1 if n else -1)
+    assert len(form.A) == n + 1
+    assert len(form.B) == n and (n == 0 or form.B[-1] != 0)
+    assert all(type(c) is int for c in form.A + form.B)
     assert form.c == 2**n
-    assert form.A.leading_coefficient == (-1) ** n * 2**n * math.factorial(n)
+    assert form.A[-1] == (-1) ** n * 2**n * math.factorial(n)
+
+
+def test_coefficients_pinned():
+    form = closed_form(60)
+    digest = hashlib.sha256(repr((form.A, form.B)).encode()).hexdigest()
+    assert digest == "09e1aa6e09034d45fc914104587a7fec3a2d9e0786108ec8264e37bbf00e30c3"
+
+
+def test_deep_order_needs_no_recursion():
+    # closed_form builds every lower order on the way up; with a recursive
+    # build a stack of 200 frames could not reach n = 500
+    code = (
+        "import sys\n"
+        "from ellipkint import closed_form\n"
+        "sys.setrecursionlimit(200)\n"
+        "assert len(closed_form(500).A) == 501\n"
+    )
+    src = str(Path(ellipkint.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_prefactor():

@@ -2,50 +2,29 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from ellipkint import DomainError, Precision, agm, ellip_k, tanh_sinh_integrate
+from ellipkint import DomainError, Precision, ellip_k, tanh_sinh_integrate
 
 PREC = Precision()
 
 
-def test_agm_fixed_point():
-    assert agm(1, 1) == 1
-
-
-def test_agm_homogeneous():
+def test_k_landen_transformation():
+    # descending Landen step: K(k) = (1 + k1) K(k1), k1 = (1 - k')/(1 + k')
     with mpmath.workdps(45):
-        assert abs(agm(2, 8) - 2 * agm(1, 4)) < mpf("1e-38")
+        for k in (mpf("0.3"), mpf("0.8"), mpf("0.999")):
+            kp = mpmath.sqrt(1 - k * k)
+            k1 = (1 - kp) / (1 + kp)
+            assert abs(ellip_k(k) - (1 + k1) * ellip_k(k1)) < mpf("1e-38")
 
 
-def test_agm_four_step_oracle():
-    # independent hand iteration: a,b = (a+b)/2, sqrt(a*b) four times from (1, 1/2)
-    # brackets the limit to ~5e-17; frozen midpoint of the fourth bracket
-    assert abs(agm(1, 0.5) - mpf("0.72839551552345343")) < 1e-15
-
-
-def test_agm_result_in_bracket():
-    v = agm(1, 4)
-    assert 1 <= v <= 4
-
-
-def test_agm_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        agm(0, 1)
-    with pytest.raises(DomainError):
-        agm(1, -2)
-
-
-def test_agm_bracket_contracts():
-    # geometric iterate stays below arithmetic iterate and the bracket
-    # at least halves per step (it actually squares: quadratic convergence)
+def test_k_special_values():
     with mpmath.workdps(45):
-        a, b = mpf(1), mpf("0.25")
-        widths = []
-        for _ in range(5):
-            a, b = (a + b) / 2, mpmath.sqrt(a * b)
-            assert b <= a
-            widths.append(a - b)
-        for w_prev, w_next in zip(widths, widths[1:]):
-            assert w_next <= w_prev / 2
+        # lemniscatic case: K(1/sqrt(2)) = Gamma(1/4)^2 / (4 sqrt(pi))
+        lemniscatic = mpmath.gamma(mpf(1) / 4) ** 2 / (4 * mpmath.sqrt(mpmath.pi))
+        assert abs(ellip_k(1 / mpmath.sqrt(2)) - lemniscatic) < mpf("1e-38")
+        # k' = 1/2: pi/(2*agm(1, 1/2)), with the AGM limit frozen from an
+        # independent hand iteration of four steps (bracket width ~5e-17)
+        frozen = mpmath.pi / (2 * mpf("0.72839551552345343"))
+        assert abs(ellip_k(mpmath.sqrt(3) / 2) - frozen) < 1e-15
 
 
 def test_k_at_zero():

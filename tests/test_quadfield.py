@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from ellipkint import DomainError, QuadExt, Surd, surd_denest, surd_normalize
+from ellipkint import DomainError, QuadExt, Surd, surd_normalize
 from ellipkint.quadfield import square_part
 
 F = Fraction
@@ -101,21 +101,6 @@ def test_surd_normalize_demotes_field_square():
 def test_surd_normalize_idempotent():
     s = surd_normalize(Surd(qe(104, 60, 3)))
     assert surd_normalize(s) == s
-
-
-def test_surd_denest():
-    parts = surd_denest(Surd(qe(8, 4, 3)))
-    assert parts is not None
-    lhs, rhs = parts
-    assert {lhs.radicand, rhs.radicand} == {qe(6), qe(2)}
-    with mpmath.workdps(30):
-        total = lhs.to_mpf() + rhs.to_mpf()
-        assert abs(total - mpmath.sqrt(8 + 4 * mpmath.sqrt(3))) < mpf("1e-25")
-
-
-def test_surd_denest_not_applicable():
-    # norm 50^2 - 22^2*5 = 80, not a rational square
-    assert surd_denest(Surd(qe(50, 22, 5))) is None
 
 
 def test_negative_radicand_rejected():
