@@ -3,7 +3,7 @@
 Subcommands: eval, identity, table, relation, verify.  Exit codes are a
 stable contract: 0 success, 2 usage or domain error, 3 numeric failure.
 The environment variable ELLIPKINT_TOL overrides the default quadrature
-tolerance.
+tolerance.  Family indices above MAX_N are usage errors.
 """
 
 from __future__ import annotations
@@ -25,16 +25,38 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+# Largest family index any command accepts.  The closed forms' coefficients
+# grow to thousands of digits, so cost grows about as n³: closed_form(500)
+# takes ~0.5 s and ~128 MB, closed_form(1500) ~12 s.  The library is uncapped.
+MAX_N = 500
+
+# z is kept exact and printed in full; Python refuses to print an integer of
+# more than 4300 digits, and a larger z adds nothing a user can check.
+MAX_Z_DIGITS = 1000
+
 
 def _parse_z(text: str) -> Fraction:
     """z as an exact rational: 'p/q' or a decimal string."""
     try:
-        z = Fraction(text)
+        # Fraction turns a decimal exponent into a power of ten, so a huge
+        # one is refused before it is built
+        _, e, exponent = text.lower().partition("e")
+        huge = bool(e) and abs(int(exponent)) > MAX_Z_DIGITS
+        z = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse z value {text!r}") from exc
+    if huge or max(z.numerator, z.denominator) >= 10**MAX_Z_DIGITS:
+        raise DomainError(
+            f"z must have at most {MAX_Z_DIGITS} digits in numerator and denominator"
+        )
     if z <= 0:
         raise DomainError(f"z must be positive, got {text}")
     return z
+
+
+def _check_index(flag: str, value: int) -> None:
+    if not 0 <= value <= MAX_N:
+        raise DomainError(f"{flag} must lie in 0..{MAX_N}, got {value}")
 
 
 def _precision(args) -> Precision:
@@ -69,8 +91,7 @@ def _nstr(x, digits: int = 15) -> str:
 def cmd_eval(args) -> int:
     prec = _precision(args)
     z = _parse_z(args.z)
-    if args.n < 0:
-        raise DomainError("n must be nonnegative")
+    _check_index("--n", args.n)
     rows = {}
     if args.method in ("numeric", "both"):
         rows["numeric"] = integral_In_numeric(IntegralSpec(args.n, z), prec).value
@@ -111,16 +132,14 @@ def _identity_line(n: int, label: str, fmt: str):
 
 
 def cmd_identity(args) -> int:
-    if args.n < 0:
-        raise DomainError("n must be nonnegative")
+    _check_index("--n", args.n)
     line = _identity_line(args.n, args.point, args.format)
     _emit(args, json.dumps(line) if args.format == "json" else line)
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
-    if args.max_n < 0:
-        raise DomainError("max-n must be nonnegative")
+    _check_index("--max-n", args.max_n)
     labels = [p.strip() for p in args.points.split(",") if p.strip()]
     if not labels:
         raise DomainError("no special points given")
@@ -144,8 +163,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_relation(args) -> int:
-    if args.n < 0 or args.m < 0:
-        raise DomainError("n and m must be nonnegative")
+    _check_index("--n", args.n)
+    _check_index("--m", args.m)
     P, Q = relation(args.n, args.m)
     if args.format == "json":
         _emit(args, json.dumps({"n": args.n, "m": args.m, "P": str(P), "Q": str(Q)}))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,8 +36,9 @@ class Precision:
     dps: int = 40
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise DomainError("abs_tol must be positive")
+        # the negated test also rejects nan, for which every comparison is false
+        if not 0 < self.abs_tol < math.inf:
+            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
         if self.max_level < 1:
             raise DomainError("max_level must be >= 1")
         if self.dps < 15:

@@ -79,6 +79,61 @@ def _level_nodes(level: int, dps: int) -> list[tuple[mpf, mpf]]:
     return nodes
 
 
+# kernel cache: (working binary precision, level) -> list of (x, K(x)·x·w)
+# over the nodes of that level on (0, 1).  Like the nodes it depends on
+# neither n nor z, so every I_n(z) quadrature at one precision shares it.
+_KERNEL_CACHE: dict[tuple[int, int], list[tuple[mpf, mpf]]] = {}
+
+
+def _level_points(level: int, dps: int, a: mpf, b: mpf):
+    """(x, weight) for the nodes new on this level, mapped onto (a, b)."""
+    half = (b - a) / 2
+    for delta, weight in _level_nodes(level, dps):
+        offset = half * delta
+        yield b - offset, weight
+        if delta != 1:  # delta == 1 is the midpoint, count it once
+            yield a + offset, weight
+
+
+def _level_kernel(level: int, prec: Precision) -> list[tuple[mpf, mpf]]:
+    key = (mpmath.mp.prec, level)
+    cached = _KERNEL_CACHE.get(key)
+    if cached is None:
+        cached = [
+            (x, ellip_k(x, prec) * x * weight)
+            for x, weight in _level_points(level, prec.working_dps, mpf(0), mpf(1))
+        ]
+        _KERNEL_CACHE[key] = cached
+    return cached
+
+
+def _refine(samples, scale: mpf, prec: Precision) -> QuadratureResult:
+    """The level loop of every quadrature here, stopping as tanh_sinh_integrate says.
+
+    samples(level) yields (x, f(x)·weight) for the nodes new on that level;
+    the estimate at level L is scale/2^L times the sum of all samples so far.
+    """
+    tol = to_mpf(prec.abs_tol)
+    raw = mpf(0)
+    evaluations = 0
+    previous = None
+    estimate = mpf("inf")
+    value = mpf(0)
+    for level in range(prec.max_level + 1):
+        for x, term in samples(level):
+            if not mpmath.isfinite(term):
+                raise DomainError(f"integrand not finite at {x}")
+            raw += term
+            evaluations += 1
+        value = raw * scale / 2**level
+        if previous is not None:
+            estimate = abs(value - previous)
+            if estimate <= tol:
+                return QuadratureResult(value, estimate, level, evaluations)
+        previous = value
+    return QuadratureResult(value, estimate, prec.max_level, evaluations, converged=False)
+
+
 def tanh_sinh_integrate(f, a, b, prec: Precision = DEFAULT_PRECISION) -> QuadratureResult:
     """Integrate f over the open interval (a, b).
 
@@ -91,46 +146,25 @@ def tanh_sinh_integrate(f, a, b, prec: Precision = DEFAULT_PRECISION) -> Quadrat
         b = to_mpf(b)
         if not a < b:
             raise DomainError("tanh_sinh_integrate requires a < b")
-        half = (b - a) / 2
-        tol = to_mpf(prec.abs_tol)
-        raw = mpf(0)
-        evaluations = 0
-        previous = None
-        estimate = mpf("inf")
-        value = mpf(0)
-        for level in range(prec.max_level + 1):
-            for delta, weight in _level_nodes(level, prec.working_dps):
-                offset = half * delta
-                fr = f(b - offset)
-                if not mpmath.isfinite(fr):
-                    raise DomainError(f"integrand not finite at {b - offset}")
-                raw += fr * weight
-                evaluations += 1
-                if delta != 1:  # delta == 1 is the midpoint, count it once
-                    fl = f(a + offset)
-                    if not mpmath.isfinite(fl):
-                        raise DomainError(f"integrand not finite at {a + offset}")
-                    raw += fl * weight
-                    evaluations += 1
-            value = raw * half / 2**level
-            if previous is not None:
-                estimate = abs(value - previous)
-                if estimate <= tol:
-                    return QuadratureResult(value, estimate, level, evaluations)
-            previous = value
-        return QuadratureResult(value, estimate, prec.max_level, evaluations, converged=False)
+
+        def samples(level):
+            for x, weight in _level_points(level, prec.working_dps, a, b):
+                yield x, f(x) * weight
+
+        return _refine(samples, (b - a) / 2, prec)
 
 
 def integral_In_numeric(spec: IntegralSpec, prec: Precision = DEFAULT_PRECISION) -> QuadratureResult:
-    """Quadrature of ∫₀¹ K(k)·k/(z+k²)^(n+3/2) dk."""
+    """Quadrature of ∫₀¹ K(k)·k/(z+k²)^(n+3/2) dk over the shared kernel table."""
     with prec.workdps():
         z = to_mpf(spec.z)
         exponent = spec.n + mpf(3) / 2
 
-        def integrand(k):
-            return ellip_k(k, prec) * k / (z + k * k) ** exponent
+        def samples(level):
+            for x, kernel in _level_kernel(level, prec):
+                yield x, kernel / (z + x * x) ** exponent
 
-        result = tanh_sinh_integrate(integrand, 0, 1, prec)
+        result = _refine(samples, mpf(1) / 2, prec)
         if not result.converged:
             raise ToleranceNotReached(
                 f"I_{spec.n}({spec.z}) did not reach abs_tol={prec.abs_tol}", result

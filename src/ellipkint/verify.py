@@ -67,18 +67,6 @@ class CheckReport:
         }
 
 
-# quadrature results are deterministic for a fixed Precision; cache them so
-# repeated checks over the same grid do not redo the expensive integrals
-_IN_CACHE: dict[tuple, mpf] = {}
-
-
-def In_numeric_cached(n: int, z, prec: Precision = DEFAULT_PRECISION) -> mpf:
-    key = (n, str(z), prec)
-    if key not in _IN_CACHE:
-        _IN_CACHE[key] = integral_In_numeric(IntegralSpec(n, z), prec).value
-    return _IN_CACHE[key]
-
-
 DEFAULT_Z_GRID = (Fraction(1, 10), Fraction(1, 3), Fraction(1), Fraction(3), Fraction(10))
 
 
@@ -97,7 +85,8 @@ def check_identity(
     with prec.workdps():
         for n in range(n_max + 1):
             for z in z_grid:
-                err = abs(In_numeric_cached(n, z, prec) - In_exact_real(n, z, prec.dps))
+                numeric = integral_In_numeric(IntegralSpec(n, z), prec).value
+                err = abs(numeric - In_exact_real(n, z, prec.dps))
                 worst = max(worst, err)
                 cases += 1
     return CheckReport(
@@ -128,15 +117,15 @@ def check_derivative_step(
             raise DomainError("need z - h > 0")
 
         def central(step):
-            up = In_numeric_cached(n, z + step, prec)
-            down = In_numeric_cached(n, z - step, prec)
+            up = integral_In_numeric(IntegralSpec(n, z + step), prec).value
+            down = integral_In_numeric(IntegralSpec(n, z - step), prec).value
             return (up - down) / (2 * step)
 
         d_coarse = central(h)
         d_fine = central(h / 2)
         derivative = (4 * d_fine - d_coarse) / 3
         candidate = -2 * derivative / (2 * n + 3)
-        target = In_numeric_cached(n + 1, z, prec)
+        target = integral_In_numeric(IntegralSpec(n + 1, z), prec).value
         rel_err = abs(candidate - target) / abs(target)
         notes = ""
         correction = abs(derivative - d_fine)
@@ -160,7 +149,8 @@ def check_order_swap(
     worst = mpf(0)
     with prec.workdps():
         for z in z_grid:
-            err = abs(I0_via_swap(z, prec) - In_numeric_cached(0, z, prec))
+            direct = integral_In_numeric(IntegralSpec(0, z), prec).value
+            err = abs(I0_via_swap(z, prec) - direct)
             worst = max(worst, err)
     return CheckReport(
         name="order-swap identity for I_0",
@@ -269,7 +259,8 @@ def audit_published_tables(
             )
             continue
         # expected mismatch: report both forms and let the quadrature decide
-        numeric = In_numeric_cached(n, CATALOG[point_label].z.a, prec)
+        spec = IntegralSpec(n, CATALOG[point_label].z.a)
+        numeric = integral_In_numeric(spec, prec).value
         err_computed = abs(numeric - computed.to_mpf(prec.dps))
         err_printed = abs(numeric - printed.to_mpf(prec.dps))
         # the printed-form rejection threshold is deliberately independent of
@@ -309,7 +300,9 @@ def check_relations(
     cases = 0
     with prec.workdps():
         sqrt2 = mpmath.sqrt(2)
-        numeric = {k: sqrt2 * In_numeric_cached(k, 1, prec) for k in pairs}
+        numeric = {
+            k: sqrt2 * integral_In_numeric(IntegralSpec(k, 1), prec).value for k in pairs
+        }
         for n in range(max_index + 1):
             for m in range(max_index + 1):
                 a_m, b_m = pairs[m]

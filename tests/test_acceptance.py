@@ -15,7 +15,7 @@ from mpmath import mpf
 import ellipkint as ek
 from ellipkint.cli import main as cli_main
 from ellipkint.specialvalues import in1_pair
-from ellipkint.verify import In_numeric_cached, check_structure
+from ellipkint.verify import check_structure
 
 F = Fraction
 Z_GRID = (F(1, 10), F(1, 3), F(1), F(3), F(10))
@@ -52,7 +52,8 @@ def test_criterion_2_z1_table(capsys):
     exact_ok = all(in1_pair(n) == pair for n, pair in enumerate(expected))
     with mpmath.workdps(50):
         numeric_ok = all(
-            abs(In_numeric_cached(n, 1) - ek.In_exact_real(n, 1)) <= 1e-10
+            abs(ek.integral_In_numeric(ek.IntegralSpec(n, 1)).value - ek.In_exact_real(n, 1))
+            <= 1e-10
             for n in range(4)
         )
     with capsys.disabled():
@@ -146,8 +147,8 @@ def test_criterion_9_property_suites(capsys):
             n = rng.randint(0, 5)
             z1 = F(rng.randint(1, 40), rng.randint(1, 10))
             z2 = z1 + F(rng.randint(1, 5))
-            v1 = In_numeric_cached(n, z1)
-            v2 = In_numeric_cached(n, z2)
+            v1 = ek.integral_In_numeric(ek.IntegralSpec(n, z1)).value
+            v2 = ek.integral_In_numeric(ek.IntegralSpec(n, z2)).value
             zf = mpf(z1.numerator) / z1.denominator
             bound = (
                 mpmath.pi / 2

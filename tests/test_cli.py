@@ -1,9 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ellipkint.cli import main
+from ellipkint.cli import MAX_N, main
+from ellipkint.specialvalues import CATALOG
 
 
 def run(capsys, *argv):
@@ -140,6 +147,59 @@ def test_env_tolerance_not_a_number(monkeypatch, capsys):
     assert err.startswith("error: ") and "ELLIPKINT_TOL" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1e-12"])
+def test_env_tolerance_not_positive_finite(monkeypatch, capsys, value):
+    monkeypatch.setenv("ELLIPKINT_TOL", value)
+    code, out, err = run(capsys, "eval", "--n", "0", "--z", "1", "--method", "numeric")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "abs_tol" in err
+
+
+@pytest.mark.parametrize("command", [["eval", "--n", "0", "--z", "1"], ["verify"]])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_tol_flag_not_finite(capsys, command, value):
+    code, out, err = run(capsys, *command, "--tol", value)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_order_cap_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "identity", "--n", "1500", "--point", "1")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and str(MAX_N) in err
+
+
+@pytest.mark.parametrize(
+    "z",
+    ["1e-5000", "1e999999999", "1" * 1001 + "/3", "7" * 5000],
+    ids=["tiny-exponent", "huge-exponent", "long-numerator", "long-integer"],
+)
+def test_z_too_large_to_hold(capsys, z):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--n", "0", "--z", z, "--method", "exact")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--n", str(MAX_N + 1), "--z", "1"],
+        ["table", "--max-n", str(MAX_N + 1), "--points", "1"],
+        ["relation", "--n", "0", "--m", str(MAX_N + 1)],
+        ["relation", "--n", str(MAX_N + 1), "--m", "0"],
+        ["identity", "--n", "-1", "--point", "1"],
+    ],
+)
+def test_order_outside_range(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_out_file_unwritable(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     code, out, err = run(capsys, "eval", "--n", "0", "--z", "1", "--out", str(target))
@@ -170,3 +230,72 @@ def test_table_golden_digest(capsys, fmt):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[fmt]
+
+
+# -- fuzzing the exit-code contract --------------------------------------------
+# n stays small (plus a few values past the cap), z at least 1/10 unless it is
+# refused on parsing, and tolerances at or above 1e-30, so no generated
+# quadrature needs all of its refinement levels.
+
+ORDERS = st.one_of(
+    st.integers(0, 8), st.sampled_from([-1, MAX_N + 1, 1500, 10**6])
+).map(str)
+Z_TEXTS = st.one_of(
+    st.builds("{}/{}".format, st.integers(1, 50), st.integers(1, 10)),
+    st.builds("{}e{}".format, st.integers(1, 9), st.integers(0, 1200)),
+    st.sampled_from(["1", "0.25", "3.5", "0", "-2", "1/0", "", "abc", "inf", "nan"]),
+    st.sampled_from(["1e-5000", "1e999999999", "1" * 1001 + "/3", "7" * 5000]),
+)
+TOL_TEXTS = st.one_of(
+    st.floats(1e-30, 1e-1).map(repr),
+    st.sampled_from(["0", "-1e-12", "1e-400", "inf", "-inf", "nan", "abc"]),
+)
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(["eval", "identity", "table", "relation"]))
+    argv = [command]
+    if command == "eval":
+        argv += ["--n", draw(ORDERS), "--z", draw(Z_TEXTS)]
+        argv += ["--method", draw(st.sampled_from(["numeric", "exact", "both"]))]
+        tol = draw(st.none() | TOL_TEXTS)
+        if tol is not None:
+            argv += ["--tol", tol]
+    elif command == "identity":
+        argv += ["--n", draw(ORDERS), "--point", draw(st.sampled_from([*CATALOG, "2"]))]
+    elif command == "table":
+        argv += ["--max-n", draw(ORDERS)]
+        argv += ["--points", draw(st.sampled_from(["1", "3,1/3", "cot2-pi-12", "", "2"]))]
+    else:
+        argv += ["--n", draw(ORDERS), "--m", draw(ORDERS)]
+    argv += ["--format", draw(st.sampled_from(["text", "json", "latex"]))]
+    return argv, draw(st.none() | TOL_TEXTS)
+
+
+@contextlib.contextmanager
+def env_tolerance(value):
+    saved = os.environ.pop("ELLIPKINT_TOL", None)
+    if value is not None:
+        os.environ["ELLIPKINT_TOL"] = value
+    try:
+        yield
+    finally:
+        os.environ.pop("ELLIPKINT_TOL", None)
+        if saved is not None:
+            os.environ["ELLIPKINT_TOL"] = saved
+
+
+@given(invocations())
+def test_exit_code_contract_fuzz(case):
+    argv, env_tol = case
+    err = io.StringIO()
+    with env_tolerance(env_tol), contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects malformed arguments
+                code = exc.code
+    assert code in (0, 2, 3)
+    if code != 0:
+        assert "error: " in err.getvalue() or "numeric failure: " in err.getvalue()

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -7,13 +8,16 @@ from mpmath import mpf
 from ellipkint import (
     DomainError,
     I0_via_swap,
+    In_exact_real,
     IntegralSpec,
     Precision,
+    ellip_k,
     inner_integral_closed,
     inner_integral_numeric,
     integral_In_numeric,
     tanh_sinh_integrate,
 )
+from ellipkint import quadrature
 
 PREC = Precision()
 
@@ -165,3 +169,54 @@ def test_domain_errors():
         inner_integral_numeric(1, -0.5, PREC)
     with pytest.raises(DomainError):
         I0_via_swap(0, PREC)
+
+
+@pytest.mark.parametrize("tol", [0, -1e-12, math.inf, -math.inf, math.nan])
+def test_precision_rejects_nonpositive_or_nonfinite_tolerance(tol):
+    with pytest.raises(DomainError):
+        Precision(abs_tol=tol)
+
+
+def test_kernel_table_shared_across_specs(monkeypatch):
+    calls = []
+
+    def counting_ellip_k(k, prec):
+        calls.append(k)
+        return ellip_k(k, prec)
+
+    monkeypatch.setattr(quadrature, "ellip_k", counting_ellip_k)
+    monkeypatch.setattr(quadrature, "_KERNEL_CACHE", {})
+    prec = Precision(dps=40)
+    deep = integral_In_numeric(IntegralSpec(16, Fraction(1, 10)), prec)
+    built = len(calls)
+    assert built > 0
+    other = integral_In_numeric(IntegralSpec(3, Fraction(7, 2)), Precision(abs_tol=1e-20))
+    assert other.levels_used <= deep.levels_used
+    assert len(calls) == built  # same dps: the table is reused, K is not recomputed
+
+    fine = Precision(abs_tol=1e-30, dps=60)
+    result = integral_In_numeric(IntegralSpec(2, 1), fine)
+    assert len(calls) > built  # a new working precision builds its own table
+    with mpmath.workdps(fine.working_dps):
+        assert abs(result.value - In_exact_real(2, 1, fine.dps)) < 1e-30
+
+
+@pytest.mark.parametrize("dps,tol", [(40, 1e-12), (60, 1e-30)])
+def test_kernel_table_matches_generic_route(dps, tol):
+    """The kernel-table sum against tanh_sinh_integrate over the integrand."""
+    prec = Precision(abs_tol=tol, dps=dps)
+    for n in (0, 8, 16):
+        for z in (Fraction(1, 10), Fraction(1), Fraction(10)):
+            fast = integral_In_numeric(IntegralSpec(n, z), prec)
+            with prec.workdps():
+                zf = mpf(z.numerator) / z.denominator
+                exponent = n + mpf(3) / 2
+
+                def integrand(k):
+                    return ellip_k(k, prec) * k / (zf + k * k) ** exponent
+
+                reference = tanh_sinh_integrate(integrand, 0, 1, prec)
+                rel = abs(fast.value - reference.value) / abs(reference.value)
+                assert rel <= mpf("1e-45")
+            assert fast.levels_used == reference.levels_used
+            assert fast.evaluations == reference.evaluations
