@@ -10,7 +10,7 @@ engine against the hard-coded published value tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -57,14 +57,22 @@ class CheckReport:
         return out
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "max_abs_error": self.max_abs_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "cases": self.cases,
-            "notes": self.notes,
-        }
+        return asdict(self)
+
+
+def _report(name: str, errors: dict, tol: float, notes: str = "") -> CheckReport:
+    """The worst of `errors` (readable case -> error) against `tol`.
+
+    A check with no cases proves nothing, so it is a DomainError, not a pass.
+    An exact comparison records 0.0 for a match and inf for a miss.
+    """
+    if not errors:
+        raise DomainError(f"{name}: no cases to check")
+    case, worst = max(errors.items(), key=lambda item: item[1])
+    worst = float(worst)
+    if len(errors) > 1 and worst:
+        notes = "; ".join(filter(None, [notes, f"worst at {case}"]))
+    return CheckReport(name, worst, tol, worst <= tol, len(errors), notes)
 
 
 DEFAULT_Z_GRID = (Fraction(1, 10), Fraction(1, 3), Fraction(1), Fraction(3), Fraction(10))
@@ -77,25 +85,14 @@ def check_identity(
     prec: Precision = DEFAULT_PRECISION,
 ) -> CheckReport:
     """|quadrature(LHS) - closed form(RHS)| over an (n, z) grid."""
-    if n_max < 0 or not z_grid:
-        raise DomainError("need n_max >= 0 and a nonempty z grid")
     _validate_grid(z_grid)
-    worst = mpf(0)
-    cases = 0
+    errors = {}
     with prec.workdps():
         for n in range(n_max + 1):
             for z in z_grid:
                 numeric = integral_In_numeric(IntegralSpec(n, z), prec).value
-                err = abs(numeric - In_exact_real(n, z, prec.dps))
-                worst = max(worst, err)
-                cases += 1
-    return CheckReport(
-        name=f"integral identity, n<={n_max}, {len(z_grid)} z values",
-        max_abs_error=float(worst),
-        tolerance=tol,
-        passed=worst <= tol,
-        cases=cases,
-    )
+                errors[f"n={n}, z={z}"] = abs(numeric - In_exact_real(n, z, prec.dps))
+    return _report(f"integral identity, n<={n_max}, {len(z_grid)} z values", errors, tol)
 
 
 def check_derivative_step(
@@ -111,34 +108,28 @@ def check_derivative_step(
     central differences at steps h and h/2 with one Richardson round.
     """
     with prec.workdps():
-        z = to_mpf(z)
+        x = to_mpf(z)
         h = to_mpf(h)
-        if z - h <= 0:
+        if x - h <= 0:
             raise DomainError("need z - h > 0")
 
         def central(step):
-            up = integral_In_numeric(IntegralSpec(n, z + step), prec).value
-            down = integral_In_numeric(IntegralSpec(n, z - step), prec).value
+            up = integral_In_numeric(IntegralSpec(n, x + step), prec).value
+            down = integral_In_numeric(IntegralSpec(n, x - step), prec).value
             return (up - down) / (2 * step)
 
         d_coarse = central(h)
         d_fine = central(h / 2)
         derivative = (4 * d_fine - d_coarse) / 3
         candidate = -2 * derivative / (2 * n + 3)
-        target = integral_In_numeric(IntegralSpec(n + 1, z), prec).value
+        target = integral_In_numeric(IntegralSpec(n + 1, x), prec).value
         rel_err = abs(candidate - target) / abs(target)
         notes = ""
         correction = abs(derivative - d_fine)
         if correction > abs(derivative) * mpf("1e-3"):
             notes = "Richardson correction large; step likely oversized"
-    return CheckReport(
-        name=f"derivative ladder n={n} -> {n + 1} at z={z}",
-        max_abs_error=float(rel_err),
-        tolerance=rel_tol,
-        passed=rel_err <= rel_tol,
-        cases=1,
-        notes=notes,
-    )
+    name = f"derivative ladder n={n} -> {n + 1} at z={z}"
+    return _report(name, {f"n={n}, z={z}": rel_err}, rel_tol, notes)
 
 
 def check_order_swap(
@@ -146,19 +137,12 @@ def check_order_swap(
 ) -> CheckReport:
     """Order-of-integration swap: iterated route vs direct quadrature."""
     _validate_grid(z_grid)
-    worst = mpf(0)
+    errors = {}
     with prec.workdps():
         for z in z_grid:
             direct = integral_In_numeric(IntegralSpec(0, z), prec).value
-            err = abs(I0_via_swap(z, prec) - direct)
-            worst = max(worst, err)
-    return CheckReport(
-        name="order-swap identity for I_0",
-        max_abs_error=float(worst),
-        tolerance=tol,
-        passed=worst <= tol,
-        cases=len(tuple(z_grid)),
-    )
+            errors[f"z={z}"] = abs(I0_via_swap(z, prec) - direct)
+    return _report("order-swap identity for I_0", errors, tol)
 
 
 def check_inner_closed_form(
@@ -170,23 +154,14 @@ def check_inner_closed_form(
     if t_grid is None:
         t_grid = [Fraction(1, 20) + Fraction(1, 10) * i for i in range(10)]
     _validate_grid(z_grid)
-    worst = mpf(0)
-    cases = 0
+    errors = {}
     with prec.workdps():
         for z in z_grid:
             for t in t_grid:
-                err = abs(
+                errors[f"z={z}, t={t}"] = abs(
                     inner_integral_numeric(z, t, prec) - inner_integral_closed(z, t)
                 )
-                worst = max(worst, err)
-                cases += 1
-    return CheckReport(
-        name="inner-integral closed form",
-        max_abs_error=float(worst),
-        tolerance=tol,
-        passed=worst <= tol,
-        cases=cases,
-    )
+    return _report("inner-integral closed form", errors, tol)
 
 
 # -- published value tables, stored as exact data ---------------------------
@@ -247,16 +222,9 @@ def audit_published_tables(
         computed = eval_at_special(n, CATALOG[point_label])
         matches = computed == printed
         if expect_match:
-            reports.append(
-                CheckReport(
-                    name=f"table audit {label}",
-                    max_abs_error=0.0 if matches else float("inf"),
-                    tolerance=0.0,
-                    passed=matches,
-                    cases=1,
-                    notes="exact rational/surd comparison",
-                )
-            )
+            errors = {label: 0.0 if matches else math.inf}
+            notes = "exact rational/surd comparison"
+            reports.append(_report(f"table audit {label}", errors, 0.0, notes))
             continue
         # expected mismatch: report both forms and let the quadrature decide
         spec = IntegralSpec(n, CATALOG[point_label].z.a)
@@ -271,19 +239,12 @@ def audit_published_tables(
             and err_computed <= tol
             and err_printed > max(mpf("1e-6"), 100 * err_computed)
         )
-        reports.append(
-            CheckReport(
-                name=f"table audit {label} (expected MISMATCH)",
-                max_abs_error=float(err_computed),
-                tolerance=tol,
-                passed=ok,
-                cases=1,
-                notes=(
-                    f"printed: {render(printed)} | computed: {render(computed)} | "
-                    f"quadrature deviates from printed by {float(err_printed):.3e}"
-                ),
-            )
+        notes = (
+            f"printed: {render(printed)} | computed: {render(computed)} | "
+            f"quadrature deviates from printed by {float(err_printed):.3e}"
         )
+        name = f"table audit {label} (expected MISMATCH)"
+        reports.append(CheckReport(name, float(err_computed), tol, ok, 1, notes))
     return reports
 
 
@@ -296,8 +257,7 @@ def check_relations(
     side replays the relation with quadrature values of the integrals.
     """
     pairs = {k: in1_pair(k) for k in range(max_index + 1)}
-    worst = mpf(0)
-    cases = 0
+    errors = {}
     with prec.workdps():
         sqrt2 = mpmath.sqrt(2)
         numeric = {
@@ -311,44 +271,28 @@ def check_relations(
                 P, Q = relation(n, m)
                 a_n, b_n = pairs[n]
                 # exact: both the pi and the rational component must vanish
-                if b_n + P * b_m != 0 or a_n + P * a_m + Q != 0:
-                    return CheckReport(
-                        name="pairwise rational relations at z=1",
-                        max_abs_error=float("inf"),
-                        tolerance=tol,
-                        passed=False,
-                        cases=cases,
-                        notes=f"exact relation violated at (n={n}, m={m})",
-                    )
+                exact = b_n + P * b_m == 0 and a_n + P * a_m + Q == 0
                 residual = abs(numeric[n] + to_mpf(P) * numeric[m] + to_mpf(Q))
-                worst = max(worst, residual)
-                cases += 1
-    return CheckReport(
-        name="pairwise rational relations at z=1",
-        max_abs_error=float(worst),
-        tolerance=tol,
-        passed=worst <= tol,
-        cases=cases,
-        notes="exact rational checks all hold",
-    )
+                errors[f"n={n}, m={m}"] = residual if exact else math.inf
+    notes = "exact rational check per pair; a miss reads as inf"
+    return _report("pairwise rational relations at z=1", errors, tol, notes)
 
 
 def check_structure(n_max: int = 12) -> CheckReport:
     """Degrees, scale factors and leading coefficients of the closed forms."""
-    ok = True
+    errors = {}
     for n in range(n_max + 1):
         form = closed_form(n)
-        ok &= len(form.A) == n + 1 and len(form.B) == n
-        ok &= not form.B or form.B[-1] != 0  # deg B_n is exactly n - 1
-        ok &= form.c == 2**n
-        ok &= form.A[-1] == (-1) ** n * 2**n * math.factorial(n)
-    return CheckReport(
-        name=f"closed-form structure, n<={n_max}",
-        max_abs_error=0.0,
-        tolerance=0.0,
-        passed=bool(ok),
-        cases=n_max + 1,
-        notes="exact structural comparison",
+        ok = (
+            len(form.A) == n + 1
+            and len(form.B) == n
+            and (not form.B or form.B[-1] != 0)  # deg B_n is exactly n - 1
+            and form.c == 2**n
+            and form.A[-1] == (-1) ** n * 2**n * math.factorial(n)
+        )
+        errors[f"n={n}"] = 0.0 if ok else math.inf
+    return _report(
+        f"closed-form structure, n<={n_max}", errors, 0.0, "exact structural comparison"
     )
 
 
@@ -396,24 +340,20 @@ def _validate_grid(z_grid):
 
 def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteResult:
     """Run every cross-check; deterministic for a fixed config."""
+    if config.fd_n_max < 0 or not config.fd_z_grid:
+        raise DomainError("need fd_n_max >= 0 and a nonempty fd_z_grid")
     _validate_grid(config.z_grid)
     _validate_grid(config.fd_z_grid)
-    result = SuiteResult()
-    result.reports.append(check_structure())
-    result.reports.append(
-        check_identity(config.n_max, config.z_grid, config.tol, config.precision)
-    )
-    result.reports.append(check_inner_closed_form(tol=config.tol, prec=config.precision))
-    result.reports.append(
-        check_order_swap(config.z_grid, config.tol, config.precision)
-    )
+    tol, prec = config.tol, config.precision
+    reports = [
+        check_structure(),
+        check_identity(config.n_max, config.z_grid, tol, prec),
+        check_inner_closed_form(tol=tol, prec=prec),
+        check_order_swap(config.z_grid, tol, prec),
+    ]
     for n in range(config.fd_n_max + 1):
         for z in config.fd_z_grid:
-            result.reports.append(
-                check_derivative_step(n, z, rel_tol=config.fd_rel_tol, prec=config.precision)
-            )
-    result.reports.extend(audit_published_tables(config.tol, config.precision))
-    result.reports.append(
-        check_relations(config.relation_max_index, config.tol, config.precision)
-    )
-    return result
+            reports.append(check_derivative_step(n, z, rel_tol=config.fd_rel_tol, prec=prec))
+    reports += audit_published_tables(tol, prec)
+    reports.append(check_relations(config.relation_max_index, tol, prec))
+    return SuiteResult(reports)

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,9 +15,23 @@ from ellipkint import (
     check_relations,
     run_suite,
 )
+from ellipkint import verify
 from ellipkint.verify import check_structure
 
 F = Fraction
+
+SMALL_CONFIG = SuiteConfig(
+    n_max=1,
+    z_grid=(F(1),),
+    fd_n_max=0,
+    fd_z_grid=(F(1),),
+    relation_max_index=2,
+)
+
+
+@pytest.fixture(scope="module")
+def small_suite():
+    return run_suite(SMALL_CONFIG)
 
 
 def test_identity_single_point():
@@ -77,9 +93,101 @@ def test_relations_check():
     assert report.cases == 25  # b_m is nonzero for every m
 
 
-def test_reports_are_self_consistent():
-    for report in audit_published_tables() + [check_identity(1, (F(1),))]:
+def test_reports_are_self_consistent(small_suite):
+    for report in small_suite.reports:
         assert report.passed == (report.max_abs_error <= report.tolerance)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: check_order_swap(z_grid=()),
+        lambda: check_inner_closed_form(z_grid=[]),
+        lambda: check_inner_closed_form(t_grid=[]),
+        lambda: check_relations(max_index=-1),
+        lambda: check_structure(-1),
+        lambda: run_suite(SuiteConfig(fd_n_max=-1)),
+        lambda: run_suite(SuiteConfig(fd_z_grid=())),
+    ],
+    ids=[
+        "order-swap-no-z",
+        "inner-no-z",
+        "inner-no-t",
+        "relations-no-index",
+        "structure-no-n",
+        "suite-no-ladder-order",
+        "suite-no-ladder-z",
+    ],
+)
+def test_check_without_cases_is_an_error(run):
+    with pytest.raises(DomainError):
+        run()
+
+
+def test_structure_failure_reports_inf(monkeypatch):
+    real = verify.closed_form
+
+    def wrong_scale(n):
+        form = real(n)
+        return dataclasses.replace(form, c=form.c + 1)
+
+    monkeypatch.setattr(verify, "closed_form", wrong_scale)
+    report = check_structure(3)
+    assert not report.passed
+    assert report.max_abs_error == math.inf
+    assert "worst at n=0" in report.notes
+
+
+def test_derivative_step_names_z_as_given():
+    report = check_derivative_step(0, F(1, 3))
+    assert report.name == "derivative ladder n=0 -> 1 at z=1/3"
+
+
+EXACT = "exact rational/surd comparison"
+
+# (name, max_abs_error, tolerance, passed, cases, notes) for SMALL_CONFIG
+SMALL_SUITE_REPORTS = [
+    ("closed-form structure, n<=12", 0.0, 0.0, True, 13, "exact structural comparison"),
+    (
+        "integral identity, n<=1, 1 z values",
+        1.7670001649475e-34, 1e-10, True, 2,
+        "worst at n=1, z=1",
+    ),
+    (
+        "inner-integral closed form",
+        1.2032055171124437e-22, 1e-10, True, 100,
+        "worst at z=67/10, t=3/4",
+    ),
+    ("order-swap identity for I_0", 3.440696084509082e-21, 1e-10, True, 1, ""),
+    ("derivative ladder n=0 -> 1 at z=1", 1.7057041595332073e-17, 1e-06, True, 1, ""),
+    *[
+        (f"table audit {label}", 0.0, 0.0, True, 1, EXACT)
+        for label in ("I_0(1)", "I_1(1)", "I_2(1)", "I_3(1)", "I_0(3)", "I_1(3)")
+    ],
+    (
+        "table audit I_2(3) (expected MISMATCH)",
+        4.778758163011872e-40, 1e-10, True, 1,
+        "printed: 1/180 + 11*pi/(2880*sqrt(2)) | computed: 1/180 + 11*pi/(2880*sqrt(3))"
+        " | quadrature deviates from printed by 1.557e-03",
+    ),
+    *[
+        (f"table audit {label}", 0.0, 0.0, True, 1, EXACT)
+        for label in ("I_0(1/3)", "I_1(1/3)", "I_2(1/3)", "I_0(5+2sqrt5)", "I_0(7+4sqrt3)")
+    ],
+    (
+        "pairwise rational relations at z=1",
+        4.6508178178189846e-33, 1e-10, True, 9,
+        "exact rational check per pair; a miss reads as inf; worst at n=0, m=2",
+    ),
+]
+
+
+def test_small_suite_numbers_pinned(small_suite):
+    got = [
+        (r.name, r.max_abs_error, r.tolerance, r.passed, r.cases, r.notes)
+        for r in small_suite.reports
+    ]
+    assert got == SMALL_SUITE_REPORTS
 
 
 def test_suite_rejects_invalid_config():
@@ -88,15 +196,8 @@ def test_suite_rejects_invalid_config():
 
 
 def test_suite_small_config_deterministic():
-    config = SuiteConfig(
-        n_max=1,
-        z_grid=(F(1),),
-        fd_n_max=0,
-        fd_z_grid=(F(1),),
-        relation_max_index=2,
-    )
-    first = run_suite(config)
-    second = run_suite(config)
+    first = run_suite(SMALL_CONFIG)
+    second = run_suite(SMALL_CONFIG)
     assert first.all_passed
     assert first.exit_status == 0
     assert [r.to_json() for r in first.reports] == [r.to_json() for r in second.reports]
