@@ -96,7 +96,7 @@ def cmd_eval(args) -> int:
     if args.method in ("numeric", "both"):
         rows["numeric"] = integral_In_numeric(IntegralSpec(args.n, z), prec).value
     if args.method in ("exact", "both"):
-        rows["exact"] = In_exact_real(args.n, z, prec.dps)
+        rows["exact"] = In_exact_real(args.n, z, prec)
     if args.method == "both":
         rows["difference"] = abs(rows["numeric"] - rows["exact"])
     if args.format == "json":
@@ -145,20 +145,12 @@ def cmd_table(args) -> int:
         raise DomainError("no special points given")
     for label in labels:
         _point(label)  # validate before emitting anything
-    if args.format == "json":
-        rows = [
-            _identity_line(n, label, "json")
-            for label in labels
-            for n in range(args.max_n + 1)
-        ]
-        _emit(args, json.dumps(rows))
-    else:
-        lines = [
-            _identity_line(n, label, args.format)
-            for label in labels
-            for n in range(args.max_n + 1)
-        ]
-        _emit(args, "\n".join(lines))
+    rows = [
+        _identity_line(n, label, args.format)
+        for label in labels
+        for n in range(args.max_n + 1)
+    ]
+    _emit(args, json.dumps(rows) if args.format == "json" else "\n".join(rows))
     return EXIT_OK
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
-from .precision import DomainError, to_mpf
+from .precision import DEFAULT_PRECISION, DomainError, Precision, check_index, to_mpf
 
 
 def double_factorial_odd(n: int) -> int:
@@ -76,8 +76,8 @@ _FORMS_LOCK = threading.Lock()
 
 
 def closed_form(n: int) -> ClosedForm:
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
+    """The exact route's form for I_n; the one place it checks n."""
+    check_index(n)
     if n >= len(_FORMS):
         with _FORMS_LOCK:
             while len(_FORMS) <= n:
@@ -93,15 +93,13 @@ def _horner(coefficients, x):
     return value
 
 
-def In_exact_real(n: int, z, dps: int = 40) -> mpf:
+def In_exact_real(n: int, z, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """Floating-point evaluation of the closed-form route for I_n(z)."""
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
-    with mpmath.workdps(dps + 10):
+    form = closed_form(n)
+    with prec.workdps():
         z = to_mpf(z)
         if z <= 0:
             raise DomainError("z must be positive")
-        form = closed_form(n)
         arccot = mpmath.atan(1 / mpmath.sqrt(z))
         bracket = _horner(form.A, z) * arccot / mpmath.sqrt(z * (z + 1)) + _horner(
             form.B, z

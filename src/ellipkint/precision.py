@@ -1,8 +1,9 @@
-"""Shared precision settings and error types for the numeric routes."""
+"""Shared precision settings, input rules and error types for both routes."""
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,6 +55,12 @@ class Precision:
 
 
 DEFAULT_PRECISION = Precision()
+
+
+def check_index(n) -> None:
+    """The family index n of I_n must be a nonnegative integer."""
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise DomainError(f"family index n must be a nonnegative integer, got {n}")
 
 
 def to_mpf(x) -> mpf:

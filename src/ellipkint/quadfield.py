@@ -238,9 +238,6 @@ class Surd:
         if self.radicand.sign() <= 0:
             raise DomainError("surd radicand must be positive")
 
-    def is_unit(self) -> bool:
-        return self.radicand == QuadExt(Fraction(1)) and self.scale == 1
-
     def to_mpf(self) -> mpf:
         return to_mpf(self.scale) * mpmath.sqrt(self.radicand.to_mpf())
 

@@ -7,7 +7,6 @@ the k -> 1 logarithmic singularity of the K(k) kernel needs.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import mpmath
@@ -19,6 +18,7 @@ from .precision import (
     DomainError,
     Precision,
     ToleranceNotReached,
+    check_index,
     to_mpf,
 )
 
@@ -40,8 +40,7 @@ class IntegralSpec:
     z: object  # positive real: int, float, Fraction or mpf
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or self.n < 0:
-            raise DomainError(f"family index n must be a nonnegative integer, got {self.n}")
+        check_index(self.n)
         if to_mpf(self.z) <= 0:
             raise DomainError(f"shift parameter z must be positive, got {self.z}")
 
@@ -52,7 +51,7 @@ class IntegralSpec:
 _NODE_CACHE: dict[tuple[int, int], list[tuple[mpf, mpf]]] = {}
 
 
-def _level_nodes(level: int, dps: int) -> list[tuple[mpf, mpf]]:
+def _level_nodes(level: int) -> list[tuple[mpf, mpf]]:
     key = (mpmath.mp.prec, level)
     cached = _NODE_CACHE.get(key)
     if cached is not None:
@@ -61,7 +60,7 @@ def _level_nodes(level: int, dps: int) -> list[tuple[mpf, mpf]]:
     # nodes with smaller endpoint offset than this cannot be represented
     # accurately enough to evaluate a singular integrand on; the truncated
     # tail is O(sqrt(cut)) even for 1/sqrt endpoint singularities.
-    cut = mpf(10) ** (-(3 * dps) // 4)
+    cut = mpf(10) ** (-(3 * mpmath.mp.dps) // 4)
     pi_half = mpmath.pi / 2
     nodes = []
     k = 1 if level > 0 else 0
@@ -85,10 +84,10 @@ def _level_nodes(level: int, dps: int) -> list[tuple[mpf, mpf]]:
 _KERNEL_CACHE: dict[tuple[int, int], list[tuple[mpf, mpf]]] = {}
 
 
-def _level_points(level: int, dps: int, a: mpf, b: mpf):
+def _level_points(level: int, a: mpf, b: mpf):
     """(x, weight) for the nodes new on this level, mapped onto (a, b)."""
     half = (b - a) / 2
-    for delta, weight in _level_nodes(level, dps):
+    for delta, weight in _level_nodes(level):
         offset = half * delta
         yield b - offset, weight
         if delta != 1:  # delta == 1 is the midpoint, count it once
@@ -101,7 +100,7 @@ def _level_kernel(level: int, prec: Precision) -> list[tuple[mpf, mpf]]:
     if cached is None:
         cached = [
             (x, ellip_k(x, prec) * x * weight)
-            for x, weight in _level_points(level, prec.working_dps, mpf(0), mpf(1))
+            for x, weight in _level_points(level, mpf(0), mpf(1))
         ]
         _KERNEL_CACHE[key] = cached
     return cached
@@ -148,7 +147,7 @@ def tanh_sinh_integrate(f, a, b, prec: Precision = DEFAULT_PRECISION) -> Quadrat
             raise DomainError("tanh_sinh_integrate requires a < b")
 
         def samples(level):
-            for x, weight in _level_points(level, prec.working_dps, a, b):
+            for x, weight in _level_points(level, a, b):
                 yield x, f(x) * weight
 
         return _refine(samples, (b - a) / 2, prec)

@@ -16,7 +16,7 @@ import mpmath
 from mpmath import mpf
 
 from .closedform import _horner, closed_form
-from .precision import DomainError, to_mpf
+from .precision import DEFAULT_PRECISION, DomainError, Precision, to_mpf
 from .quadfield import UNIT_SURD, QuadExt, Surd, surd_normalize
 
 _ZERO = QuadExt(Fraction(0))
@@ -25,30 +25,33 @@ _ONE = QuadExt(Fraction(1))
 
 @dataclass(frozen=True)
 class SpecialPoint:
-    """(z, theta, d) with ArcCot(sqrt(z)) = theta*pi and z in Q(sqrt(d))."""
+    """z in a quadratic field with ArcCot(sqrt(z)) = theta_over_pi * pi."""
 
     label: str
     z: QuadExt
     theta_over_pi: Fraction
-    field_d: int
 
     def __post_init__(self):
         if self.z.sign() <= 0:
             raise DomainError("special point must have z > 0")
         if not 0 < self.theta_over_pi < Fraction(1, 2):
             raise DomainError("theta/pi must lie in (0, 1/2)")
+        with DEFAULT_PRECISION.workdps():
+            gap = mpmath.acot(mpmath.sqrt(self.z.to_mpf())) - mpmath.pi * to_mpf(self.theta_over_pi)
+            if abs(gap) > mpf(10) ** -DEFAULT_PRECISION.dps:
+                raise DomainError(f"ArcCot(sqrt({self.z})) is not {self.theta_over_pi}*pi")
 
 
 CATALOG: dict[str, SpecialPoint] = {
     p.label: p
     for p in (
-        SpecialPoint("1", QuadExt(Fraction(1)), Fraction(1, 4), 1),
-        SpecialPoint("3", QuadExt(Fraction(3)), Fraction(1, 6), 1),
-        SpecialPoint("1/3", QuadExt(Fraction(1, 3)), Fraction(1, 3), 1),
+        SpecialPoint("1", QuadExt(Fraction(1)), Fraction(1, 4)),
+        SpecialPoint("3", QuadExt(Fraction(3)), Fraction(1, 6)),
+        SpecialPoint("1/3", QuadExt(Fraction(1, 3)), Fraction(1, 3)),
         # Cot^2(pi/10) = 5 + 2*sqrt(5)
-        SpecialPoint("cot2-pi-10", QuadExt(Fraction(5), Fraction(2), 5), Fraction(1, 10), 5),
+        SpecialPoint("cot2-pi-10", QuadExt(Fraction(5), Fraction(2), 5), Fraction(1, 10)),
         # Cot^2(pi/12) = 7 + 4*sqrt(3)
-        SpecialPoint("cot2-pi-12", QuadExt(Fraction(7), Fraction(4), 3), Fraction(1, 12), 3),
+        SpecialPoint("cot2-pi-12", QuadExt(Fraction(7), Fraction(4), 3), Fraction(1, 12)),
     )
 }
 
@@ -65,8 +68,8 @@ class ExactValue:
     def is_zero(self) -> bool:
         return self.pi_coeff.is_zero() and self.alg_coeff.is_zero()
 
-    def to_mpf(self, dps: int = 40) -> mpf:
-        with mpmath.workdps(dps + 10):
+    def to_mpf(self, prec: Precision = DEFAULT_PRECISION) -> mpf:
+        with prec.workdps():
             value = mpf(0)
             if not self.pi_coeff.is_zero():
                 value += self.pi_coeff.to_mpf() * mpmath.pi / self.pi_surd.to_mpf()
@@ -96,8 +99,6 @@ def make_exact_value(pi_raw: QuadExt, pi_radical: QuadExt, alg_raw: QuadExt, alg
 
 def eval_at_special(n: int, point: SpecialPoint) -> ExactValue:
     """Exact I_n(z) at a special point, via the closed-form recurrence."""
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
     form = closed_form(n)
     z = point.z
     zp1 = z + 1

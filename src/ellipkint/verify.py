@@ -91,7 +91,7 @@ def check_identity(
         for n in range(n_max + 1):
             for z in z_grid:
                 numeric = integral_In_numeric(IntegralSpec(n, z), prec).value
-                errors[f"n={n}, z={z}"] = abs(numeric - In_exact_real(n, z, prec.dps))
+                errors[f"n={n}, z={z}"] = abs(numeric - In_exact_real(n, z, prec))
     return _report(f"integral identity, n<={n_max}, {len(z_grid)} z values", errors, tol)
 
 
@@ -229,8 +229,8 @@ def audit_published_tables(
         # expected mismatch: report both forms and let the quadrature decide
         spec = IntegralSpec(n, CATALOG[point_label].z.a)
         numeric = integral_In_numeric(spec, prec).value
-        err_computed = abs(numeric - computed.to_mpf(prec.dps))
-        err_printed = abs(numeric - printed.to_mpf(prec.dps))
+        err_computed = abs(numeric - computed.to_mpf(prec))
+        err_printed = abs(numeric - printed.to_mpf(prec))
         # the printed-form rejection threshold is deliberately independent of
         # tol: the gap between the printed surd and the true value is a fixed
         # mathematical quantity, not something a loose run should blur away
@@ -307,6 +307,14 @@ class SuiteConfig:
     relation_max_index: int = 10
     precision: Precision = DEFAULT_PRECISION
 
+    def __post_init__(self):
+        if min(self.n_max, self.fd_n_max, self.relation_max_index) < 0:
+            raise DomainError("need n_max, fd_n_max and relation_max_index >= 0")
+        if not self.z_grid or not self.fd_z_grid:
+            raise DomainError("need a nonempty z_grid and fd_z_grid")
+        _validate_grid(self.z_grid)
+        _validate_grid(self.fd_z_grid)
+
 
 @dataclass
 class SuiteResult:
@@ -340,10 +348,6 @@ def _validate_grid(z_grid):
 
 def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteResult:
     """Run every cross-check; deterministic for a fixed config."""
-    if config.fd_n_max < 0 or not config.fd_z_grid:
-        raise DomainError("need fd_n_max >= 0 and a nonempty fd_z_grid")
-    _validate_grid(config.z_grid)
-    _validate_grid(config.fd_z_grid)
     tol, prec = config.tol, config.precision
     reports = [
         check_structure(),

@@ -11,7 +11,7 @@ import pytest
 from mpmath import mpf
 
 import ellipkint
-from ellipkint import DomainError, In_exact_real, closed_form, double_factorial_odd
+from ellipkint import DomainError, In_exact_real, Precision, closed_form, double_factorial_odd
 
 F = Fraction
 
@@ -101,6 +101,15 @@ def test_exact_real_domain():
         In_exact_real(-1, 1)
 
 
+@pytest.mark.parametrize("n", [1.0, F(1)])
+def test_closed_form_rejects_non_index(n):
+    # closed_form is the exact route's one check on n, reached by In_exact_real too
+    with pytest.raises(DomainError, match="family index n"):
+        closed_form(n)
+    with pytest.raises(DomainError, match="family index n"):
+        In_exact_real(n, 1)
+
+
 def test_recurrence_matches_numerical_derivatives():
     # I_n(z) = (-2)^n/(2n+1)!! * d^n I_0/dz^n; differentiate the n=0 closed
     # form numerically to validate the recurrence without any integral
@@ -108,7 +117,7 @@ def test_recurrence_matches_numerical_derivatives():
         z = mpf("1.7")
         for n in (1, 2, 3):
             fd = mpmath.diff(
-                lambda u: In_exact_real(0, u, dps=60), z, n, h=mpf(10) ** -12
+                lambda u: In_exact_real(0, u, Precision(dps=60)), z, n, h=mpf(10) ** -12
             )
             expected = mpf((-2) ** n) / double_factorial_odd(n) * fd
-            assert abs(In_exact_real(n, z, dps=60) - expected) < mpf("1e-15")
+            assert abs(In_exact_real(n, z, Precision(dps=60)) - expected) < mpf("1e-15")

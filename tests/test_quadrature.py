@@ -198,7 +198,16 @@ def test_kernel_table_shared_across_specs(monkeypatch):
     result = integral_In_numeric(IntegralSpec(2, 1), fine)
     assert len(calls) > built  # a new working precision builds its own table
     with mpmath.workdps(fine.working_dps):
-        assert abs(result.value - In_exact_real(2, 1, fine.dps)) < 1e-30
+        assert abs(result.value - In_exact_real(2, 1, fine)) < 1e-30
+
+
+def test_node_cut_reads_the_working_precision():
+    # the node tables take their cut from mp.dps and their key from mp.prec;
+    # inside workdps() both come from the same working_dps
+    for dps in range(15, 101):
+        prec = Precision(dps=dps)
+        with prec.workdps():
+            assert mpmath.mp.dps == prec.working_dps
 
 
 @pytest.mark.parametrize("dps,tol", [(40, 1e-12), (60, 1e-30)])

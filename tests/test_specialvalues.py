@@ -106,8 +106,8 @@ def test_relation_exactness_sweep():
 
 
 def test_user_extensible_point():
-    # Cot^2(pi/8) = 3 + 2*sqrt(2), theta = 1/8, field d = 2
-    point = SpecialPoint("cot2-pi-8", qe(3, 2, 2), F(1, 8), 2)
+    # Cot^2(pi/8) = 3 + 2*sqrt(2), theta = 1/8
+    point = SpecialPoint("cot2-pi-8", qe(3, 2, 2), F(1, 8))
     v = eval_at_special(0, point)
     with mpmath.workdps(40):
         z = point.z.to_mpf()
@@ -116,9 +116,22 @@ def test_user_extensible_point():
 
 def test_special_point_validation():
     with pytest.raises(DomainError):
-        SpecialPoint("bad", qe(-1), F(1, 4), 1)
+        SpecialPoint("bad", qe(-1), F(1, 4))
     with pytest.raises(DomainError):
-        SpecialPoint("bad", qe(1), F(2, 3), 1)
+        SpecialPoint("bad", qe(1), F(2, 3))
+
+
+def test_special_point_theta_must_match_z():
+    # ArcCot(sqrt(2)) is not pi/5: eval_at_special(0, .) would give 0.25651
+    # where I_0(2) is 0.25127
+    with pytest.raises(DomainError, match="ArcCot"):
+        SpecialPoint("y", QuadExt(F(2)), F(1, 5))
+
+
+@pytest.mark.parametrize("n", [1.0, -1])
+def test_eval_at_special_rejects_non_index(n):
+    with pytest.raises(DomainError, match="family index n"):
+        eval_at_special(n, CATALOG["1"])
 
 
 def test_make_exact_value_normalizes():

@@ -193,6 +193,17 @@ def test_small_suite_numbers_pinned(small_suite):
 def test_suite_rejects_invalid_config():
     with pytest.raises(DomainError):
         run_suite(SuiteConfig(z_grid=(F(1), F(-1))))
+    # every field is checked on construction, before run_suite does any work
+    for bad in (
+        {"relation_max_index": -1},
+        {"n_max": -1},
+        {"fd_n_max": -1},
+        {"z_grid": ()},
+        {"fd_z_grid": ()},
+        {"fd_z_grid": (F(0),)},
+    ):
+        with pytest.raises(DomainError):
+            SuiteConfig(**bad)
 
 
 def test_suite_small_config_deterministic():
