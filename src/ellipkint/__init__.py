@@ -21,7 +21,9 @@ from .quadrature import (
     QuadratureResult,
     inner_integral_closed,
     inner_integral_numeric,
+    inner_integral_numeric_grid,
     integral_In_numeric,
+    integral_In_numeric_many,
     tanh_sinh_integrate,
 )
 from .render import exact_value_from_json, exact_value_to_json, render
@@ -58,7 +60,9 @@ __all__ = [
     "QuadratureResult",
     "IntegralSpec",
     "integral_In_numeric",
+    "integral_In_numeric_many",
     "inner_integral_numeric",
+    "inner_integral_numeric_grid",
     "inner_integral_closed",
     "I0_via_swap",
     "QuadExt",

@@ -106,31 +106,43 @@ def _level_kernel(level: int, prec: Precision) -> list[tuple[mpf, mpf]]:
     return cached
 
 
-def _refine(samples, scale: mpf, prec: Precision) -> QuadratureResult:
-    """The level loop of every quadrature here, stopping as tanh_sinh_integrate says.
+def _refine(samples, members: int, scale: mpf, prec: Precision) -> list[QuadratureResult]:
+    """The level loop of every quadrature here: many sums over one pass of the nodes.
 
-    samples(level) yields (x, f(x)·weight) for the nodes new on that level;
-    the estimate at level L is scale/2^L times the sum of all samples so far.
+    samples(level, live) yields (x, terms) for the nodes new on that level,
+    terms[j] being f(x)·weight for member live[j].  A member's estimate at
+    level L is scale/2^L times the sum of its terms so far; each member stops
+    on its own, as tanh_sinh_integrate says, and then leaves `live`.
     """
     tol = to_mpf(prec.abs_tol)
-    raw = mpf(0)
-    evaluations = 0
-    previous = None
-    estimate = mpf("inf")
-    value = mpf(0)
+    raw = [mpf(0)] * members
+    value = [mpf(0)] * members
+    estimate = [mpf("inf")] * members
+    results = [None] * members
+    live = list(range(members))
+    evaluations = 0  # every live member sees every node
     for level in range(prec.max_level + 1):
-        for x, term in samples(level):
-            if not mpmath.isfinite(term):
-                raise DomainError(f"integrand not finite at {x}")
-            raw += term
+        if not live:
+            break
+        for x, terms in samples(level, live):
+            for i, term in zip(live, terms):
+                if not mpmath.isfinite(term):
+                    raise DomainError(f"integrand not finite at {x}")
+                raw[i] += term
             evaluations += 1
-        value = raw * scale / 2**level
-        if previous is not None:
-            estimate = abs(value - previous)
-            if estimate <= tol:
-                return QuadratureResult(value, estimate, level, evaluations)
-        previous = value
-    return QuadratureResult(value, estimate, prec.max_level, evaluations, converged=False)
+        for i in live:
+            current = raw[i] * scale / 2**level
+            if level > 0:
+                estimate[i] = abs(current - value[i])
+                if estimate[i] <= tol:
+                    results[i] = QuadratureResult(current, estimate[i], level, evaluations)
+            value[i] = current
+        live = [i for i in live if results[i] is None]
+    for i in live:
+        results[i] = QuadratureResult(
+            value[i], estimate[i], prec.max_level, evaluations, converged=False
+        )
+    return results
 
 
 def tanh_sinh_integrate(f, a, b, prec: Precision = DEFAULT_PRECISION) -> QuadratureResult:
@@ -146,39 +158,58 @@ def tanh_sinh_integrate(f, a, b, prec: Precision = DEFAULT_PRECISION) -> Quadrat
         if not a < b:
             raise DomainError("tanh_sinh_integrate requires a < b")
 
-        def samples(level):
+        def samples(level, live):
             for x, weight in _level_points(level, a, b):
-                yield x, f(x) * weight
+                yield x, (f(x) * weight,)
 
-        return _refine(samples, (b - a) / 2, prec)
+        return _refine(samples, 1, (b - a) / 2, prec)[0]
 
 
 def integral_In_numeric(spec: IntegralSpec, prec: Precision = DEFAULT_PRECISION) -> QuadratureResult:
     """Quadrature of ∫₀¹ K(k)·k/(z+k²)^(n+3/2) dk over the shared kernel table."""
+    return integral_In_numeric_many([spec], prec)[0]
+
+
+def integral_In_numeric_many(specs, prec: Precision = DEFAULT_PRECISION) -> list[QuadratureResult]:
+    """integral_In_numeric for every spec, all advanced over one pass of each level.
+
+    Each spec keeps its own sum and stop rule, so its result is the one its
+    own integral_In_numeric call gives.  Raises ToleranceNotReached for the
+    first spec that did not converge.
+    """
+    specs = list(specs)
     with prec.workdps():
-        z = to_mpf(spec.z)
-        exponent = spec.n + mpf(3) / 2
+        params = [(to_mpf(spec.z), spec.n + mpf(3) / 2) for spec in specs]
 
-        def samples(level):
+        def samples(level, live):
+            members = [params[i] for i in live]
             for x, kernel in _level_kernel(level, prec):
-                yield x, kernel / (z + x * x) ** exponent
+                xx = x * x
+                yield x, [kernel / (z + xx) ** exponent for z, exponent in members]
 
-        result = _refine(samples, mpf(1) / 2, prec)
+        results = _refine(samples, len(specs), mpf(1) / 2, prec)
+    for spec, result in zip(specs, results):
         if not result.converged:
             raise ToleranceNotReached(
                 f"I_{spec.n}({spec.z}) did not reach abs_tol={prec.abs_tol}", result
             )
-        return result
+    return results
+
+
+def _inner_domain(z_grid, t_grid) -> tuple[list[mpf], list[mpf]]:
+    """The inner integral's arguments as mpf, each z > 0 and each 0 <= t < 1."""
+    zs = [to_mpf(z) for z in z_grid]
+    ts = [to_mpf(t) for t in t_grid]
+    if any(z <= 0 for z in zs):
+        raise DomainError("z must be positive")
+    if not all(0 <= t < 1 for t in ts):
+        raise DomainError("t must lie in [0, 1)")
+    return zs, ts
 
 
 def inner_integral_closed(z, t) -> mpf:
     """1/(√z·(1+z·t²)) − √(1−t²)/(√(1+z)·(1+z·t²)) for z > 0, 0 <= t < 1."""
-    z = to_mpf(z)
-    t = to_mpf(t)
-    if z <= 0:
-        raise DomainError("z must be positive")
-    if not 0 <= t < 1:
-        raise DomainError("t must lie in [0, 1)")
+    (z,), (t,) = _inner_domain([z], [t])
     denom = 1 + z * t * t
     return 1 / (mpmath.sqrt(z) * denom) - mpmath.sqrt((1 - t) * (1 + t)) / (
         mpmath.sqrt(1 + z) * denom
@@ -188,28 +219,47 @@ def inner_integral_closed(z, t) -> mpf:
 def inner_integral_numeric(z, t, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """Quadrature of ∫₀¹ k dk / ((z+k²)^(3/2)·√(1−k²t²)).
 
-    t = 0 short-circuits to the elementary antiderivative; the general path
-    needs 0 < t < 1.
+    t = 0 short-circuits to the elementary antiderivative; any other t is
+    the one-case inner_integral_numeric_grid.
     """
     with prec.workdps():
-        z = to_mpf(z)
-        t = to_mpf(t)
-        if z <= 0:
-            raise DomainError("z must be positive")
-        if not 0 <= t < 1:
-            raise DomainError("t must lie in [0, 1)")
-        if t == 0:
-            return 1 / mpmath.sqrt(z) - 1 / mpmath.sqrt(1 + z)
+        (zf,), (tf,) = _inner_domain([z], [t])
+        if tf == 0:
+            return 1 / mpmath.sqrt(zf) - 1 / mpmath.sqrt(1 + zf)
+        return inner_integral_numeric_grid([z], [t], prec)[0][0]
 
-        def integrand(k):
-            return k / ((z + k * k) ** mpf(1.5) * mpmath.sqrt(1 - (k * t) ** 2))
 
-        result = tanh_sinh_integrate(integrand, 0, 1, prec)
+def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECISION) -> list[list[mpf]]:
+    """inner_integral_numeric at every (z, t), as rows over z_grid of values over t_grid.
+
+    The integrand factors into x·w/(z+x²)^(3/2) and 1/√(1−x²t²), so each
+    node costs one power per z and one square root per t; every pair then
+    keeps its own sum and stop rule.  Nothing is kept between calls.
+    """
+    z_grid, t_grid = list(z_grid), list(t_grid)
+    with prec.workdps():
+        zs, ts = _inner_domain(z_grid, t_grid)
+        width = len(ts)
+        three_halves = mpf(3) / 2
+
+        def samples(level, live):
+            pairs = [divmod(i, width) for i in live]
+            live_z = {iz for iz, _ in pairs}
+            live_t = {it for _, it in pairs}
+            for x, weight in _level_points(level, mpf(0), mpf(1)):
+                xw, xx = x * weight, x * x
+                z_part = {iz: xw / (zs[iz] + xx) ** three_halves for iz in live_z}
+                t_part = {it: 1 / mpmath.sqrt(1 - (x * ts[it]) ** 2) for it in live_t}
+                yield x, [z_part[iz] * t_part[it] for iz, it in pairs]
+
+        results = _refine(samples, len(zs) * width, mpf(1) / 2, prec)
+    for i, result in enumerate(results):
         if not result.converged:
+            iz, it = divmod(i, width)
             raise ToleranceNotReached(
-                f"inner integral at (z={z}, t={t}) did not converge", result
+                f"inner integral at (z={z_grid[iz]}, t={t_grid[it]}) did not converge", result
             )
-        return result.value
+    return [[r.value for r in results[iz * width : (iz + 1) * width]] for iz in range(len(zs))]
 
 
 def I0_via_swap(z, prec: Precision = DEFAULT_PRECISION) -> mpf:

@@ -114,10 +114,15 @@ def relation(n: int, m: int) -> tuple[Fraction, Fraction]:
 
     Uses the exact decomposition sqrt(2)*I_k(1) = a_k + b_k*pi.
     """
-    a_n, b_n = in1_pair(n)
-    a_m, b_m = in1_pair(m)
-    if b_m == 0:
+    pair_m = in1_pair(m)
+    if pair_m[1] == 0:
         raise DomainError(f"relation undefined: pi-coefficient of I_{m}(1) is zero")
+    return _relation(in1_pair(n), pair_m)
+
+
+def _relation(pair_n, pair_m) -> tuple[Fraction, Fraction]:
+    """relation's (P, Q) from the pairs (a_n, b_n), (a_m, b_m); b_m must be nonzero."""
+    (a_n, b_n), (a_m, b_m) = pair_n, pair_m
     P = -b_n / b_m
     Q = -a_n - P * a_m
     return P, Q

@@ -23,17 +23,18 @@ from .quadrature import (
     I0_via_swap,
     IntegralSpec,
     inner_integral_closed,
-    inner_integral_numeric,
+    inner_integral_numeric_grid,
     integral_In_numeric,
+    integral_In_numeric_many,
 )
 from .render import render
 from .specialvalues import (
     CATALOG,
     ExactValue,
+    _relation,
     eval_at_special,
     in1_pair,
     make_exact_value,
-    relation,
 )
 
 
@@ -86,12 +87,12 @@ def check_identity(
 ) -> CheckReport:
     """|quadrature(LHS) - closed form(RHS)| over an (n, z) grid."""
     _validate_grid(z_grid)
+    specs = [IntegralSpec(n, z) for n in range(n_max + 1) for z in z_grid]
     errors = {}
     with prec.workdps():
-        for n in range(n_max + 1):
-            for z in z_grid:
-                numeric = integral_In_numeric(IntegralSpec(n, z), prec).value
-                errors[f"n={n}, z={z}"] = abs(numeric - In_exact_real(n, z, prec))
+        for spec, result in zip(specs, integral_In_numeric_many(specs, prec)):
+            exact = In_exact_real(spec.n, spec.z, prec)
+            errors[f"n={spec.n}, z={spec.z}"] = abs(result.value - exact)
     return _report(f"integral identity, n<={n_max}, {len(z_grid)} z values", errors, tol)
 
 
@@ -113,16 +114,21 @@ def check_derivative_step(
         if x - h <= 0:
             raise DomainError("need z - h > 0")
 
-        def central(step):
-            up = integral_In_numeric(IntegralSpec(n, x + step), prec).value
-            down = integral_In_numeric(IntegralSpec(n, x - step), prec).value
-            return (up - down) / (2 * step)
-
-        d_coarse = central(h)
-        d_fine = central(h / 2)
+        half = h / 2
+        specs = [
+            IntegralSpec(n, x + h),
+            IntegralSpec(n, x - h),
+            IntegralSpec(n, x + half),
+            IntegralSpec(n, x - half),
+            IntegralSpec(n + 1, x),
+        ]
+        up, down, up_half, down_half, target = (
+            r.value for r in integral_In_numeric_many(specs, prec)
+        )
+        d_coarse = (up - down) / (2 * h)
+        d_fine = (up_half - down_half) / (2 * half)
         derivative = (4 * d_fine - d_coarse) / 3
         candidate = -2 * derivative / (2 * n + 3)
-        target = integral_In_numeric(IntegralSpec(n + 1, x), prec).value
         rel_err = abs(candidate - target) / abs(target)
         notes = ""
         correction = abs(derivative - d_fine)
@@ -153,14 +159,12 @@ def check_inner_closed_form(
         z_grid = [Fraction(1, 10) + Fraction(11, 10) * i for i in range(10)]
     if t_grid is None:
         t_grid = [Fraction(1, 20) + Fraction(1, 10) * i for i in range(10)]
-    _validate_grid(z_grid)
     errors = {}
     with prec.workdps():
-        for z in z_grid:
-            for t in t_grid:
-                errors[f"z={z}, t={t}"] = abs(
-                    inner_integral_numeric(z, t, prec) - inner_integral_closed(z, t)
-                )
+        rows = inner_integral_numeric_grid(z_grid, t_grid, prec)
+        for z, row in zip(z_grid, rows):
+            for t, numeric in zip(t_grid, row):
+                errors[f"z={z}, t={t}"] = abs(numeric - inner_integral_closed(z, t))
     return _report("inner-integral closed form", errors, tol)
 
 
@@ -256,19 +260,18 @@ def check_relations(
     Exactness is checked in rational arithmetic for every pair; the numeric
     side replays the relation with quadrature values of the integrals.
     """
-    pairs = {k: in1_pair(k) for k in range(max_index + 1)}
+    pairs = [in1_pair(k) for k in range(max_index + 1)]
     errors = {}
     with prec.workdps():
         sqrt2 = mpmath.sqrt(2)
-        numeric = {
-            k: sqrt2 * integral_In_numeric(IntegralSpec(k, 1), prec).value for k in pairs
-        }
+        specs = [IntegralSpec(k, 1) for k in range(max_index + 1)]
+        numeric = [sqrt2 * r.value for r in integral_In_numeric_many(specs, prec)]
         for n in range(max_index + 1):
             for m in range(max_index + 1):
                 a_m, b_m = pairs[m]
                 if b_m == 0:
                     continue
-                P, Q = relation(n, m)
+                P, Q = _relation(pairs[n], pairs[m])
                 a_n, b_n = pairs[n]
                 # exact: both the pi and the rational component must vanish
                 exact = b_n + P * b_m == 0 and a_n + P * a_m + Q == 0
@@ -349,8 +352,10 @@ def _validate_grid(z_grid):
 def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteResult:
     """Run every cross-check; deterministic for a fixed config."""
     tol, prec = config.tol, config.precision
+    # every closed form the suite compares, and never fewer than n <= 12
+    structure_n = max(12, config.n_max, config.fd_n_max + 1, config.relation_max_index)
     reports = [
-        check_structure(),
+        check_structure(structure_n),
         check_identity(config.n_max, config.z_grid, tol, prec),
         check_inner_closed_form(tol=tol, prec=prec),
         check_order_swap(config.z_grid, tol, prec),

@@ -11,10 +11,13 @@ from ellipkint import (
     In_exact_real,
     IntegralSpec,
     Precision,
+    ToleranceNotReached,
     ellip_k,
     inner_integral_closed,
     inner_integral_numeric,
+    inner_integral_numeric_grid,
     integral_In_numeric,
+    integral_In_numeric_many,
     tanh_sinh_integrate,
 )
 from ellipkint import quadrature
@@ -229,3 +232,69 @@ def test_kernel_table_matches_generic_route(dps, tol):
                 assert rel <= mpf("1e-45")
             assert fast.levels_used == reference.levels_used
             assert fast.evaluations == reference.evaluations
+
+
+@pytest.mark.parametrize("dps,tol", [(40, 1e-12), (60, 1e-30)])
+def test_batch_matches_one_spec_calls(dps, tol):
+    """Every member of a batch stops where its own call stops, with the same sum."""
+    prec = Precision(abs_tol=tol, dps=dps)
+    specs = [
+        IntegralSpec(n, z)
+        for n, z in [(0, 1), (16, Fraction(1, 10)), (3, Fraction(7, 2)), (8, 10), (1, Fraction(1, 3))]
+    ]
+    batch = integral_In_numeric_many(specs, prec)
+    single = [integral_In_numeric(spec, prec) for spec in specs]
+    assert len({r.levels_used for r in single}) > 1  # members leave at different levels
+    for got, want in zip(batch, single):
+        assert got.value == want.value
+        assert got.error_estimate == want.error_estimate
+        assert got.levels_used == want.levels_used
+        assert got.evaluations == want.evaluations
+        assert got.converged and want.converged
+
+
+def test_batch_names_the_member_that_did_not_converge():
+    # with abs_tol=1e-20, I_0(3) stops at level 4, I_2(1) at 5, I_16(1/10) needs 6
+    prec = Precision(abs_tol=1e-20, max_level=5)
+    specs = [IntegralSpec(0, 3), IntegralSpec(16, Fraction(1, 10)), IntegralSpec(2, 1)]
+    with pytest.raises(ToleranceNotReached, match=r"I_16\(1/10\)") as caught:
+        integral_In_numeric_many(specs, prec)
+    assert not caught.value.result.converged
+    assert caught.value.result.levels_used == prec.max_level
+
+
+def test_batch_of_no_specs_is_empty():
+    assert integral_In_numeric_many([], PREC) == []
+
+
+def test_batch_rejects_nonfinite_term(monkeypatch):
+    def poisoned_kernel(level, prec):
+        return [(mpf("0.5"), mpf(1)), (mpf("0.25"), mpmath.inf)]
+
+    monkeypatch.setattr(quadrature, "_level_kernel", poisoned_kernel)
+    with pytest.raises(DomainError, match="not finite"):
+        integral_In_numeric_many([IntegralSpec(0, 1), IntegralSpec(2, 3)], PREC)
+
+
+def test_inner_grid_matches_pointwise_and_unfactored_integrand():
+    z_grid = [Fraction(1, 10), Fraction(1), Fraction(67, 10)]
+    t_grid = [Fraction(1, 20), Fraction(1, 2), Fraction(19, 20)]
+    rows = inner_integral_numeric_grid(z_grid, t_grid, PREC)
+    assert [len(row) for row in rows] == [3, 3, 3]
+    with PREC.workdps():
+        for z, row in zip(z_grid, rows):
+            for t, got in zip(t_grid, row):
+                assert got == inner_integral_numeric(z, t, PREC)
+                zf, tf = mpf(z.numerator) / z.denominator, mpf(t.numerator) / t.denominator
+
+                def integrand(k):
+                    return k / ((zf + k * k) ** mpf(1.5) * mpmath.sqrt(1 - (k * tf) ** 2))
+
+                reference = tanh_sinh_integrate(integrand, 0, 1, PREC).value
+                assert abs(got - reference) <= mpf("1e-45")
+
+
+@pytest.mark.parametrize("z,t", [(1, -0.5), (1, 1), (1, 1.5), (0, 0.5), (-1, 0.5)])
+def test_inner_grid_rejects_points_outside_the_domain(z, t):
+    with pytest.raises(DomainError):
+        inner_integral_numeric_grid([Fraction(1, 2), z], [Fraction(1, 4), t], PREC)

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -188,6 +190,29 @@ def test_small_suite_numbers_pinned(small_suite):
         for r in small_suite.reports
     ]
     assert got == SMALL_SUITE_REPORTS
+
+
+# sha256 of `ellipkint verify --format json` (the default suite, indent=2),
+# as computed before the quadratures were batched over shared nodes
+DEFAULT_SUITE_SHA256 = "3998dd23f71d1c4e6e579c1f180b5c891ff98dfa76ec0e1afa0a89bde5209dac"
+
+
+def test_default_suite_output_pinned():
+    text = json.dumps(run_suite().to_json(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SUITE_SHA256
+
+
+@pytest.mark.parametrize(
+    "overrides,structure_n",
+    [({"n_max": 14}, 14), ({"fd_n_max": 13}, 14), ({"relation_max_index": 15}, 15)],
+    ids=["n_max", "fd_n_max", "relation_max_index"],
+)
+def test_structure_covers_every_compared_closed_form(overrides, structure_n):
+    config = dataclasses.replace(SMALL_CONFIG, **overrides)
+    report = run_suite(config).reports[0]
+    assert report.name == f"closed-form structure, n<={structure_n}"
+    assert report.cases == structure_n + 1
+    assert report.passed
 
 
 def test_suite_rejects_invalid_config():
