@@ -6,7 +6,8 @@ floating point is involved until the final cross-check column.
 
 import mpmath
 
-from ellipkint import CATALOG, IntegralSpec, eval_at_special, integral_In_numeric, render
+from ellipkint import CATALOG, IntegralSpec, eval_at_special, integral_In_numeric
+from ellipkint.render import render
 
 print("The classic table at z = 1:")
 for n in range(4):

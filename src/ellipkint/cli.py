@@ -14,6 +14,8 @@ import os
 import sys
 from fractions import Fraction
 
+import mpmath
+
 from .closedform import In_exact_real
 from .precision import DomainError, Precision, ToleranceNotReached
 from .quadrature import IntegralSpec, integral_In_numeric
@@ -82,12 +84,6 @@ def _emit(args, text: str):
         print(text)
 
 
-def _nstr(x, digits: int = 15) -> str:
-    import mpmath
-
-    return mpmath.nstr(x, digits)
-
-
 def cmd_eval(args) -> int:
     prec = _precision(args)
     z = _parse_z(args.z)
@@ -101,11 +97,11 @@ def cmd_eval(args) -> int:
         rows["difference"] = abs(rows["numeric"] - rows["exact"])
     if args.format == "json":
         payload = {"n": args.n, "z": str(z)}
-        payload.update({k: _nstr(v, 20) for k, v in rows.items()})
+        payload.update({k: mpmath.nstr(v, 20) for k, v in rows.items()})
         _emit(args, json.dumps(payload))
     else:
         lines = [f"I_{args.n}({z})"]
-        lines += [f"  {k:10s} = {_nstr(v, 20)}" for k, v in rows.items()]
+        lines += [f"  {k:10s} = {mpmath.nstr(v, 20)}" for k, v in rows.items()]
         _emit(args, "\n".join(lines))
     return EXIT_OK
 

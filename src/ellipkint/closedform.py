@@ -2,24 +2,24 @@
 
 The n-th derivative of F(z) = ArcCot(sqrt(z)) / sqrt(z(z+1)) stays in the shape
 
-    F^(n)(z) = [A_n(z)*ArcCot(sqrt(z)) + B_n(z)*sqrt(z)] / (c_n * (z(z+1))^(n+1/2))
+    F^(n)(z) = [A_n(z)*ArcCot(sqrt(z)) + B_n(z)*sqrt(z)] / (2**n * (z(z+1))^(n+1/2))
 
-with integer-coefficient polynomials A_n, B_n and c_n = 2**n, because the
-shape closes under differentiation:
+with integer-coefficient polynomials A_n, B_n, because the shape closes under
+differentiation:
 
     A_{m+1} = 2z(z+1)A'_m - (2m+1)(2z+1)A_m
     B_{m+1} = 2z(z+1)B'_m - ((4m+1)z + 2m)B_m - A_m
-    c_{m+1} = 2*c_m
 
 On the coefficients a_j, b_j of z**j in A_m, B_m (zero outside their range)
-the first two lines read
+these read
 
     a_j -> (2j-2m-1)*a_j + 2(j-2m-2)*a_{j-1}
     b_j -> 2(j-m)*b_j + (2j-4m-3)*b_{j-1} - a_j
 
-The family value is then I_n(z) = (-2)**n / (2n+1)!! * F^(n)(z).  The
-recurrence is cross-checked against quadrature and finite differences by the
-verification suite before anything downstream trusts it.
+The family value is then I_n(z) = (-2)**n / (2n+1)!! * F^(n)(z), in which
+the 2**n cancels.  The recurrence is cross-checked against quadrature and
+finite differences by the verification suite before anything downstream
+trusts it.
 """
 
 from __future__ import annotations
@@ -49,12 +49,11 @@ class ClosedForm:
     n: int
     A: tuple[int, ...]
     B: tuple[int, ...]
-    c: int
 
     @property
     def prefactor(self) -> Fraction:
-        """(-2)**n / ((2n+1)!! * c_n), the scalar in front of the bracket."""
-        return Fraction((-2) ** self.n, double_factorial_odd(self.n) * self.c)
+        """(-1)**n / (2n+1)!!, the scalar in front of the bracket."""
+        return Fraction((-1) ** self.n, double_factorial_odd(self.n))
 
 
 def _next_form(form: ClosedForm) -> ClosedForm:
@@ -66,12 +65,11 @@ def _next_form(form: ClosedForm) -> ClosedForm:
         m + 1,
         tuple((2 * j - 2 * m - 1) * a[j + 1] + 2 * (j - 2 * m - 2) * a[j] for j in range(m + 2)),
         tuple(2 * (j - m) * b[j + 1] + (2 * j - 4 * m - 3) * b[j] - a[j + 1] for j in range(m + 1)),
-        2 * form.c,
     )
 
 
 # closed_form(n) for every n < len(_FORMS), extended in order under _FORMS_LOCK
-_FORMS = [ClosedForm(0, (1,), (), 1)]
+_FORMS = [ClosedForm(0, (1,), ())]
 _FORMS_LOCK = threading.Lock()
 
 

@@ -216,25 +216,13 @@ def inner_integral_closed(z, t) -> mpf:
     )
 
 
-def inner_integral_numeric(z, t, prec: Precision = DEFAULT_PRECISION) -> mpf:
-    """Quadrature of ∫₀¹ k dk / ((z+k²)^(3/2)·√(1−k²t²)).
-
-    t = 0 short-circuits to the elementary antiderivative; any other t is
-    the one-case inner_integral_numeric_grid.
-    """
-    with prec.workdps():
-        (zf,), (tf,) = _inner_domain([z], [t])
-        if tf == 0:
-            return 1 / mpmath.sqrt(zf) - 1 / mpmath.sqrt(1 + zf)
-        return inner_integral_numeric_grid([z], [t], prec)[0][0]
-
-
 def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECISION) -> list[list[mpf]]:
-    """inner_integral_numeric at every (z, t), as rows over z_grid of values over t_grid.
+    """Quadrature of ∫₀¹ k dk / ((z+k²)^(3/2)·√(1−k²t²)) at every z > 0, 0 <= t < 1.
 
-    The integrand factors into x·w/(z+x²)^(3/2) and 1/√(1−x²t²), so each
-    node costs one power per z and one square root per t; every pair then
-    keeps its own sum and stop rule.  Nothing is kept between calls.
+    Returns rows over z_grid of values over t_grid.  The integrand factors
+    into x·w/(z+x²)^(3/2) and 1/√(1−x²t²), so each node costs one power per z
+    and one square root per t; every pair then keeps its own sum and stop
+    rule.  Nothing is kept between calls.
     """
     z_grid, t_grid = list(z_grid), list(t_grid)
     with prec.workdps():

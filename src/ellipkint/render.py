@@ -10,7 +10,6 @@ from .quadfield import QuadExt, Surd
 from .specialvalues import ExactValue
 
 FORMATS = ("text", "latex", "json")
-TERM_ORDERS = ("alg_first", "pi_first")
 
 
 def _split_coeff(coeff: QuadExt) -> tuple[int, int, int, int]:
@@ -90,13 +89,6 @@ def _surd_json(s: Surd) -> dict:
     return {"radicand": _quadext_json(s.radicand), "scale": _fraction_str(s.scale)}
 
 
-def exact_value_to_json(v: ExactValue) -> dict:
-    return {
-        "pi": {"coeff": _quadext_json(v.pi_coeff), "surd": _surd_json(v.pi_surd)},
-        "alg": {"coeff": _quadext_json(v.alg_coeff), "surd": _surd_json(v.alg_surd)},
-    }
-
-
 def _quadext_from_json(obj: dict) -> QuadExt:
     return QuadExt(Fraction(obj["a"]), Fraction(obj["b"]), int(obj["d"]))
 
@@ -114,17 +106,19 @@ def exact_value_from_json(obj: dict) -> ExactValue:
     )
 
 
-def render(v: ExactValue, format: str = "text", term_order: str = "alg_first"):
-    """Canonical string (text/latex) or dict (json) for an exact value."""
+def render(v: ExactValue, format: str = "text"):
+    """Canonical string (text/latex, algebraic term first) or dict (json) for an exact value.
+
+    The json dict is what exact_value_from_json reads back.
+    """
     if format not in FORMATS:
         raise DomainError(f"unknown format {format!r}; choose from {FORMATS}")
-    if term_order not in TERM_ORDERS:
-        raise DomainError(f"unknown term order {term_order!r}; choose from {TERM_ORDERS}")
     if format == "json":
-        return exact_value_to_json(v)
-    pi_term = (v.pi_coeff, v.pi_surd, True)
-    alg_term = (v.alg_coeff, v.alg_surd, False)
-    ordered = (alg_term, pi_term) if term_order == "alg_first" else (pi_term, alg_term)
+        return {
+            "pi": {"coeff": _quadext_json(v.pi_coeff), "surd": _surd_json(v.pi_surd)},
+            "alg": {"coeff": _quadext_json(v.alg_coeff), "surd": _surd_json(v.alg_surd)},
+        }
+    ordered = ((v.alg_coeff, v.alg_surd, False), (v.pi_coeff, v.pi_surd, True))
     terms = [_term(*term, format) for term in ordered if not term[0].is_zero()]
     if not terms:
         return "0"

@@ -20,7 +20,6 @@ from .precision import DEFAULT_PRECISION, DomainError, Precision, to_mpf
 from .quadfield import UNIT_SURD, QuadExt, Surd, surd_normalize
 
 _ZERO = QuadExt(Fraction(0))
-_ONE = QuadExt(Fraction(1))
 
 
 @dataclass(frozen=True)

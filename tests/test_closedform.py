@@ -24,21 +24,18 @@ def test_base_case():
     form = closed_form(0)
     assert form.A == (1,)
     assert form.B == ()
-    assert form.c == 1
 
 
 def test_first_derivative():
     form = closed_form(1)
     assert form.A == (-1, -2)   # -(2z+1)
     assert form.B == (-1,)
-    assert form.c == 2
 
 
 def test_second_derivative():
     form = closed_form(2)
     assert form.A == (3, 8, 8)
     assert form.B == (3, 7)
-    assert form.c == 4
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -47,7 +44,8 @@ def test_structure_invariants(n):
     assert len(form.A) == n + 1
     assert len(form.B) == n and (n == 0 or form.B[-1] != 0)
     assert all(type(c) is int for c in form.A + form.B)
-    assert form.c == 2**n
+    # the 2**n under the bracket cancels the (-2)**n of identity (1)
+    assert form.prefactor == Fraction((-2) ** n, double_factorial_odd(n) * 2**n)
     assert form.A[-1] == (-1) ** n * 2**n * math.factorial(n)
 
 

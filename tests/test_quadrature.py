@@ -14,7 +14,6 @@ from ellipkint import (
     ToleranceNotReached,
     ellip_k,
     inner_integral_closed,
-    inner_integral_numeric,
     inner_integral_numeric_grid,
     integral_In_numeric,
     integral_In_numeric_many,
@@ -132,7 +131,7 @@ def test_monotonic_in_n_for_z_at_least_one():
 def test_inner_integral_t_zero_elementary():
     with mpmath.workdps(PREC.working_dps):
         for z in (Fraction(1, 2), Fraction(2), Fraction(9)):
-            got = inner_integral_numeric(z, 0, PREC)
+            got = inner_integral_numeric_grid([z], [0], PREC)[0][0]
             zf = mpf(z.numerator) / z.denominator
             assert abs(got - (1 / mpmath.sqrt(zf) - 1 / mpmath.sqrt(1 + zf))) < 1e-20
 
@@ -146,7 +145,7 @@ def test_inner_closed_direct_substitutions():
 
 @pytest.mark.parametrize("z,t", [(1, 0.5), (3, 0.9), (Fraction(1, 10), 0.05)])
 def test_inner_numeric_matches_closed(z, t):
-    got = inner_integral_numeric(z, t, PREC)
+    got = inner_integral_numeric_grid([z], [t], PREC)[0][0]
     assert abs(got - inner_integral_closed(z, t)) < 1e-10
 
 
@@ -169,7 +168,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         inner_integral_closed(1, 1)
     with pytest.raises(DomainError):
-        inner_integral_numeric(1, -0.5, PREC)
+        inner_integral_numeric_grid([1], [-0.5], PREC)
     with pytest.raises(DomainError):
         I0_via_swap(0, PREC)
 
@@ -284,7 +283,7 @@ def test_inner_grid_matches_pointwise_and_unfactored_integrand():
     with PREC.workdps():
         for z, row in zip(z_grid, rows):
             for t, got in zip(t_grid, row):
-                assert got == inner_integral_numeric(z, t, PREC)
+                assert got == inner_integral_numeric_grid([z], [t], PREC)[0][0]
                 zf, tf = mpf(z.numerator) / z.denominator, mpf(t.numerator) / t.denominator
 
                 def integrand(k):

@@ -1,18 +1,19 @@
+import importlib
 import json
 from fractions import Fraction
 
 import pytest
 
+import ellipkint
 from ellipkint import (
     CATALOG,
     DomainError,
     QuadExt,
     eval_at_special,
     exact_value_from_json,
-    exact_value_to_json,
     make_exact_value,
-    render,
 )
+from ellipkint.render import render
 
 F = Fraction
 
@@ -41,10 +42,9 @@ def test_text_nested_radical():
     assert render(v) == "pi/(10*sqrt(50+22*sqrt(5)))"
 
 
-def test_text_pi_first_term_order():
+def test_text_algebraic_term_first():
     v = eval_at_special(1, CATALOG["1"])
     assert render(v) == "1/(6*sqrt(2)) + pi/(8*sqrt(2))"
-    assert render(v, term_order="pi_first") == "pi/(8*sqrt(2)) + 1/(6*sqrt(2))"
 
 
 def test_negative_coefficient():
@@ -58,19 +58,17 @@ def test_quadratic_coefficient():
     assert render(v, "latex") == "(3+2\\sqrt{5})\\pi"
 
 
-def test_unknown_format_and_order():
+def test_unknown_format():
     v = eval_at_special(0, CATALOG["1"])
     with pytest.raises(DomainError):
         render(v, "html")
-    with pytest.raises(DomainError):
-        render(v, term_order="random")
 
 
 @pytest.mark.parametrize("label", sorted(CATALOG))
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_json_round_trip(label, n):
     v = eval_at_special(n, CATALOG[label])
-    payload = json.loads(json.dumps(exact_value_to_json(v)))
+    payload = json.loads(json.dumps(render(v, "json")))
     assert exact_value_from_json(payload) == v
 
 
@@ -82,3 +80,17 @@ def test_json_schema_shape():
     assert obj["pi"]["surd"]["radicand"]["a"] == "2/1"
     # rationals are strings, never floats
     assert isinstance(obj["alg"]["coeff"]["a"], str)
+
+
+def test_render_submodule_is_reachable():
+    import ellipkint.render as module
+
+    assert module is importlib.import_module("ellipkint.render")
+    assert ellipkint.render is module
+    v = eval_at_special(2, CATALOG["1/3"])
+    assert module.render(v) == "27/(10*sqrt(3)) + 177*pi/160"
+    assert module.exact_value_from_json(module.render(v, "json")) == v
+
+
+def test_every_public_name_resolves():
+    assert [name for name in ellipkint.__all__ if not hasattr(ellipkint, name)] == []

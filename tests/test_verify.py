@@ -129,11 +129,11 @@ def test_check_without_cases_is_an_error(run):
 def test_structure_failure_reports_inf(monkeypatch):
     real = verify.closed_form
 
-    def wrong_scale(n):
+    def wrong_leading_coefficient(n):
         form = real(n)
-        return dataclasses.replace(form, c=form.c + 1)
+        return dataclasses.replace(form, A=(*form.A[:-1], form.A[-1] + 1))
 
-    monkeypatch.setattr(verify, "closed_form", wrong_scale)
+    monkeypatch.setattr(verify, "closed_form", wrong_leading_coefficient)
     report = check_structure(3)
     assert not report.passed
     assert report.max_abs_error == math.inf
