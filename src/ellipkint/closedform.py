@@ -84,7 +84,11 @@ def closed_form(n: int) -> ClosedForm:
 
 
 def _horner(coefficients, x):
-    """sum(c * x**i for i, c in enumerate(coefficients)); x is mpf or QuadExt."""
+    """sum(c * x**i for i, c in enumerate(coefficients)); x is mpf, or any ring element.
+
+    In_exact_real runs it on mpf; on a QuadExt it is the step-by-step
+    reference for quadfield._polyval.
+    """
     value = 0
     for c in reversed(coefficients):
         value = value * x + c

@@ -16,7 +16,11 @@ class DomainError(ValueError):
 
 
 class ToleranceNotReached(RuntimeError):
-    """Quadrature exhausted its refinement levels above the requested tolerance."""
+    """Quadrature stopped above the requested tolerance.
+
+    Either its refinement levels ran out, or the tolerance lies below one ulp
+    of the value at the working precision.
+    """
 
     def __init__(self, message, result=None):
         super().__init__(message)

@@ -57,7 +57,7 @@ def _sqrt_fraction(q: Fraction) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class QuadExt:
-    """a + b*sqrt(d) with rational a, b; d square-free positive, d=1 rational."""
+    """a + b*sqrt(d) with rational a, b; d a square-free positive int, d=1 rational."""
 
     a: Fraction
     b: Fraction = Fraction(0)
@@ -66,7 +66,7 @@ class QuadExt:
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
-        if not is_squarefree(self.d):
+        if not isinstance(self.d, int) or isinstance(self.d, bool) or not is_squarefree(self.d):
             raise DomainError(f"d must be a square-free positive integer, got {self.d}")
         if self.d == 1 and self.b != 0:
             # fold sqrt(1) into the rational part
@@ -250,6 +250,30 @@ class Surd:
 UNIT_SURD = Surd(QuadExt(Fraction(1)))
 
 
+def _over_common_denominator(x: QuadExt) -> tuple[int, int, int]:
+    """Integers (p, q, r), r > 0 the lcm of the denominators, with x == (p + q*sqrt(d))/r."""
+    r = math.lcm(x.a.denominator, x.b.denominator)
+    return x.a.numerator * (r // x.a.denominator), x.b.numerator * (r // x.b.denominator), r
+
+
+def _polyval(coefficients, z: QuadExt) -> QuadExt:
+    """sum(c * z**i for i, c in enumerate(coefficients)) for integer c, exactly.
+
+    With z = (p + q*sqrt(d))/r over one common denominator r, Horner runs on
+    the integer pair (P, Q) of (P + Q*sqrt(d))/r**k, and only the final value
+    becomes Fractions.  An empty tuple is the zero polynomial.
+    """
+    if not coefficients:
+        return QuadExt(Fraction(0))
+    p, q, r = _over_common_denominator(z)
+    qd = q * z.d
+    P, Q, scale = coefficients[-1], 0, 1
+    for c in reversed(coefficients[:-1]):
+        scale *= r
+        P, Q = P * p + Q * qd + c * scale, P * q + Q * p
+    return QuadExt(Fraction(P, scale), Fraction(Q, scale), z.d)
+
+
 def surd_normalize(s: Surd) -> Union[Surd, QuadExt]:
     """Canonical form of a surd.
 
@@ -258,9 +282,8 @@ def surd_normalize(s: Surd) -> Union[Surd, QuadExt]:
     square inside its field collapses the surd to a QuadExt.
     """
     r = s.radicand
-    den = math.lcm(r.a.denominator, r.b.denominator)
-    ai = r.a.numerator * (den // r.a.denominator) * den
-    bi = r.b.numerator * (den // r.b.denominator) * den
+    ai, bi, den = _over_common_denominator(r)
+    ai, bi = ai * den, bi * den
     # r == (ai + bi*sqrt(d)) / den**2 with integer ai, bi
     g = math.gcd(ai, bi)
     sq, _ = square_part(g)

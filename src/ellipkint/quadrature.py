@@ -112,7 +112,9 @@ def _refine(samples, members: int, scale: mpf, prec: Precision) -> list[Quadratu
     samples(level, live) yields (x, terms) for the nodes new on that level,
     terms[j] being f(x)·weight for member live[j].  A member's estimate at
     level L is scale/2^L times the sum of its terms so far; each member stops
-    on its own, as tanh_sinh_integrate says, and then leaves `live`.
+    on its own, as tanh_sinh_integrate says, and then leaves `live`.  A member
+    whose tolerance is below one ulp of its sum at the working precision can
+    never meet it, so it stops at once, unconverged.
     """
     tol = to_mpf(prec.abs_tol)
     raw = [mpf(0)] * members
@@ -136,6 +138,10 @@ def _refine(samples, members: int, scale: mpf, prec: Precision) -> list[Quadratu
                 estimate[i] = abs(current - value[i])
                 if estimate[i] <= tol:
                     results[i] = QuadratureResult(current, estimate[i], level, evaluations)
+            if results[i] is None and tol < mpmath.ldexp(abs(current), -mpmath.mp.prec):
+                results[i] = QuadratureResult(
+                    current, estimate[i], level, evaluations, converged=False
+                )
             value[i] = current
         live = [i for i in live if results[i] is None]
     for i in live:
@@ -149,8 +155,9 @@ def tanh_sinh_integrate(f, a, b, prec: Precision = DEFAULT_PRECISION) -> Quadrat
     """Integrate f over the open interval (a, b).
 
     f is never called at a or b.  Refines level by level until two successive
-    level sums differ by at most prec.abs_tol; if the level budget runs out
-    the best value is returned with converged=False.
+    level sums differ by at most prec.abs_tol; if the level budget runs out,
+    or prec.abs_tol is below one ulp of the sum, the best value is returned
+    with converged=False.
     """
     with prec.workdps():
         a = to_mpf(a)

@@ -15,9 +15,9 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
-from .closedform import _horner, closed_form
+from .closedform import closed_form
 from .precision import DEFAULT_PRECISION, DomainError, Precision, to_mpf
-from .quadfield import UNIT_SURD, QuadExt, Surd, surd_normalize
+from .quadfield import UNIT_SURD, QuadExt, Surd, _polyval, surd_normalize
 
 _ZERO = QuadExt(Fraction(0))
 
@@ -103,8 +103,8 @@ def eval_at_special(n: int, point: SpecialPoint) -> ExactValue:
     zp1 = z + 1
     power = (z * zp1) ** n
     prefactor = form.prefactor  # Fraction
-    pi_raw = prefactor * point.theta_over_pi * _horner(form.A, z) / power
-    alg_raw = prefactor * _horner(form.B, z) / power
+    pi_raw = prefactor * point.theta_over_pi * _polyval(form.A, z) / power
+    alg_raw = prefactor * _polyval(form.B, z) / power
     return make_exact_value(pi_raw, z * zp1, alg_raw, zp1)
 
 

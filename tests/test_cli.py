@@ -171,6 +171,18 @@ def test_order_cap_fails_fast(capsys):
     assert out == "" and err.startswith("error: ") and str(MAX_N) in err
 
 
+def test_tolerance_below_one_ulp_fails_fast(capsys):
+    # I_3(1e-12) is about 5e41, so at 50 digits one ulp of the sum is far
+    # above abs_tol=1e-12; the quadrature stops instead of running every level
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "eval", "--n", "3", "--z", "1/1000000000000", "--method", "numeric"
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert out == "" and err.startswith("numeric failure: ")
+
+
 @pytest.mark.parametrize(
     "z",
     ["1e-5000", "1e999999999", "1" * 1001 + "/3", "7" * 5000],
@@ -207,29 +219,37 @@ def test_out_file_unwritable(tmp_path, capsys):
     assert out == "" and err.startswith("error: ")
 
 
-# sha256 of the whole stdout, pinned from the output before the text and
-# LaTeX renderers were merged into one
+# sha256 of the whole stdout, keyed by (max_n, format).  The n <= 12 digests
+# are pinned from the output before the text and LaTeX renderers were merged
+# into one, the n <= 100 digests from the output before polynomials at special
+# points were evaluated over integers.
 TABLE_DIGESTS = {
-    "text": "cb9087f8f1ace09d92e77289fe6cb318d65a3dc5b850e7dff5c5ee4c34ab33e9",
-    "latex": "ecf0048ee8e7e7922d0535bb598d4097a67fa92e539a8c550c1f0cd33b34a98e",
-    "json": "b09739e255ae3b10521c84f11c613c5cc846f224d818b1b3fdaf2bfd1fd95980",
+    (12, "text"): "cb9087f8f1ace09d92e77289fe6cb318d65a3dc5b850e7dff5c5ee4c34ab33e9",
+    (12, "latex"): "ecf0048ee8e7e7922d0535bb598d4097a67fa92e539a8c550c1f0cd33b34a98e",
+    (12, "json"): "b09739e255ae3b10521c84f11c613c5cc846f224d818b1b3fdaf2bfd1fd95980",
+    (100, "text"): "850c9c3caa4c70390683c31e2383c9bdc09d90c4bd000a54fb56d3d43b4183a3",
+    (100, "json"): "3b2df51515fd06a80defc0daa7d76ef3b1d01bdd6a499130028c4ac07ce5a012",
 }
 
 
-@pytest.mark.parametrize("fmt", sorted(TABLE_DIGESTS))
-def test_table_golden_digest(capsys, fmt):
+@pytest.mark.parametrize(
+    "max_n, fmt",
+    sorted(TABLE_DIGESTS),
+    ids=[fmt if max_n == 12 else f"{fmt}-{max_n}" for max_n, fmt in sorted(TABLE_DIGESTS)],
+)
+def test_table_golden_digest(capsys, max_n, fmt):
     code, out, _ = run(
         capsys,
         "table",
         "--max-n",
-        "12",
+        str(max_n),
         "--points",
         "1,3,1/3,cot2-pi-10,cot2-pi-12",
         "--format",
         fmt,
     )
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[max_n, fmt]
 
 
 # -- fuzzing the exit-code contract --------------------------------------------

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from mpmath import mpf
 
 from ellipkint import DomainError, QuadExt, Surd, surd_normalize
-from ellipkint.quadfield import square_part
+from ellipkint.closedform import _horner
+from ellipkint.quadfield import _polyval, square_part
 
 F = Fraction
 
@@ -26,6 +27,10 @@ def test_square_part():
 def test_d_must_be_squarefree():
     with pytest.raises(DomainError):
         qe(1, 1, 4)
+    # d is an int: neither a float (integral or not), a bool nor a Fraction
+    for d in (2.5, 5.0, True, F(5)):
+        with pytest.raises(DomainError):
+            qe(1, 1, d)
 
 
 def test_d_one_folds_into_rational():
@@ -154,3 +159,20 @@ def test_normalize_idempotent_and_value_preserving(a, b, d):
         assert abs(out.to_mpf() - original) < mpf("1e-25")
     if isinstance(out, Surd):
         assert surd_normalize(out) == out
+
+
+coefficient_tuples = st.lists(
+    st.one_of(st.integers(-1000, 1000), st.integers(-(10**40), 10**40)), max_size=12
+).map(tuple)
+
+
+@given(coefficient_tuples, elements)
+@example((), qe(F(3, 4), F(-5, 6), 5))
+@example((7,), qe(F(3, 4), F(-5, 6), 5))
+@example((3, -(10**35), 10**31 + 7, -2), qe(F(-7, 10), F(9, 4), 2))
+@example((1, 2, 3), qe(F(2, 9), F(1, 6), 3))
+@example((10**30, -1, 0, 5), qe(F(5, 3), F(2, 7), 7))
+def test_polyval_matches_horner(coefficients, z):
+    # the reference is Horner step by step in QuadExt; adding zero turns the
+    # empty tuple's plain 0 into a QuadExt
+    assert _polyval(coefficients, z) == QuadExt(F(0)) + _horner(coefficients, z)

@@ -262,6 +262,21 @@ def test_batch_names_the_member_that_did_not_converge():
     assert caught.value.result.levels_used == prec.max_level
 
 
+def test_tolerance_below_one_ulp_stops_at_once():
+    # I_3(1e-12) is about 5e41, so one ulp of the sum at 50 digits is far above
+    # abs_tol=1e-12: the member stops unconverged instead of running every level
+    prec = Precision(abs_tol=1e-12)
+    with pytest.raises(ToleranceNotReached) as caught:
+        integral_In_numeric(IntegralSpec(3, Fraction(1, 10**12)), prec)
+    result = caught.value.result
+    assert not result.converged and result.levels_used < prec.max_level
+    with prec.workdps():
+        assert prec.abs_tol < abs(result.value) * mpf(2) ** -mpmath.mp.prec
+    # the other members of a batch keep their own stop rule
+    with pytest.raises(ToleranceNotReached, match=r"I_3\(1/1000000000000\)"):
+        integral_In_numeric_many([IntegralSpec(0, 1), IntegralSpec(3, Fraction(1, 10**12))], prec)
+
+
 def test_batch_of_no_specs_is_empty():
     assert integral_In_numeric_many([], PREC) == []
 
