@@ -163,7 +163,10 @@ def cmd_relation(args) -> int:
 
 def cmd_verify(args) -> int:
     prec = _precision(args)
-    config = SuiteConfig(tol=prec.abs_tol if args.tol else 1e-10, precision=prec)
+    # a tolerance asked for, by --tol or ELLIPKINT_TOL, sets both the
+    # quadratures' and the checks'; the checks default to 1e-10
+    asked = args.tol is not None or "ELLIPKINT_TOL" in os.environ
+    config = SuiteConfig(tol=prec.abs_tol if asked else 1e-10, precision=prec)
     result = run_suite(config)
     if args.format == "json":
         _emit(args, json.dumps(result.to_json(), indent=2))

@@ -11,6 +11,18 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_sqrt,
+    round_nearest,
+)
 
 from .elliptic import ellip_k
 from .precision import (
@@ -78,10 +90,11 @@ def _level_nodes(level: int) -> list[tuple[mpf, mpf]]:
     return nodes
 
 
-# kernel cache: (working binary precision, level) -> list of (x, K(x)·x·w)
-# over the nodes of that level on (0, 1).  Like the nodes it depends on
-# neither n nor z, so every I_n(z) quadrature at one precision shares it.
-_KERNEL_CACHE: dict[tuple[int, int], list[tuple[mpf, mpf]]] = {}
+# kernel cache: (working binary precision, level) -> list of (x, x², K(x)·x·w)
+# over the nodes of that level on (0, 1), x² and K(x)·x·w as raw mpf tuples.
+# Like the nodes it depends on neither n nor z, so every I_n(z) quadrature at
+# one precision shares it.
+_KERNEL_CACHE: dict[tuple[int, int], list[tuple[mpf, tuple, tuple]]] = {}
 
 
 def _level_points(level: int, a: mpf, b: mpf):
@@ -94,30 +107,37 @@ def _level_points(level: int, a: mpf, b: mpf):
             yield a + offset, weight
 
 
-def _level_kernel(level: int, prec: Precision) -> list[tuple[mpf, mpf]]:
+def _level_kernel(level: int, prec: Precision) -> list[tuple[mpf, tuple, tuple]]:
     key = (mpmath.mp.prec, level)
     cached = _KERNEL_CACHE.get(key)
     if cached is None:
         cached = [
-            (x, ellip_k(x, prec) * x * weight)
+            (x, (x * x)._mpf_, (ellip_k(x, prec) * x * weight)._mpf_)
             for x, weight in _level_points(level, mpf(0), mpf(1))
         ]
         _KERNEL_CACHE[key] = cached
     return cached
 
 
+_NONFINITE = (finf, fninf, fnan)
+
+
 def _refine(samples, members: int, scale: mpf, prec: Precision) -> list[QuadratureResult]:
     """The level loop of every quadrature here: many sums over one pass of the nodes.
 
     samples(level, live) yields (x, terms) for the nodes new on that level,
-    terms[j] being f(x)·weight for member live[j].  A member's estimate at
-    level L is scale/2^L times the sum of its terms so far; each member stops
-    on its own, as tanh_sinh_integrate says, and then leaves `live`.  A member
-    whose tolerance is below one ulp of its sum at the working precision can
-    never meet it, so it stops at once, unconverged.
+    terms[j] being the raw mpf tuple (`_mpf_`) of f(x)·weight for member
+    live[j].  Sums stay raw tuples, added by mpf_add at the working precision
+    rounding to nearest, which is what mpf.__add__ calls, so they are the
+    operator sums bit for bit without an mpf object per term.  A member's
+    estimate at level L is scale/2^L times the sum of its terms so far; each
+    member stops on its own, as tanh_sinh_integrate says, and then leaves
+    `live`.  A member whose tolerance is below one ulp of its sum at the
+    working precision can never meet it, so it stops at once, unconverged.
     """
     tol = to_mpf(prec.abs_tol)
-    raw = [mpf(0)] * members
+    wp = mpmath.mp.prec
+    raw = [fzero] * members
     value = [mpf(0)] * members
     estimate = [mpf("inf")] * members
     results = [None] * members
@@ -128,12 +148,12 @@ def _refine(samples, members: int, scale: mpf, prec: Precision) -> list[Quadratu
             break
         for x, terms in samples(level, live):
             for i, term in zip(live, terms):
-                if not mpmath.isfinite(term):
+                if term in _NONFINITE:
                     raise DomainError(f"integrand not finite at {x}")
-                raw[i] += term
+                raw[i] = mpf_add(raw[i], term, wp, round_nearest)
             evaluations += 1
         for i in live:
-            current = raw[i] * scale / 2**level
+            current = mpmath.mp.make_mpf(raw[i]) * scale / 2**level
             if level > 0:
                 estimate[i] = abs(current - value[i])
                 if estimate[i] <= tol:
@@ -157,7 +177,7 @@ def tanh_sinh_integrate(f, a, b, prec: Precision = DEFAULT_PRECISION) -> Quadrat
     f is never called at a or b.  Refines level by level until two successive
     level sums differ by at most prec.abs_tol; if the level budget runs out,
     or prec.abs_tol is below one ulp of the sum, the best value is returned
-    with converged=False.
+    with converged=False.  f must be real: a complex value raises DomainError.
     """
     with prec.workdps():
         a = to_mpf(a)
@@ -167,7 +187,10 @@ def tanh_sinh_integrate(f, a, b, prec: Precision = DEFAULT_PRECISION) -> Quadrat
 
         def samples(level, live):
             for x, weight in _level_points(level, a, b):
-                yield x, (f(x) * weight,)
+                term = getattr(f(x) * weight, "_mpf_", None)
+                if term is None:
+                    raise DomainError(f"integrand not real at {x}")
+                yield x, (term,)
 
         return _refine(samples, 1, (b - a) / 2, prec)[0]
 
@@ -186,13 +209,24 @@ def integral_In_numeric_many(specs, prec: Precision = DEFAULT_PRECISION) -> list
     """
     specs = list(specs)
     with prec.workdps():
-        params = [(to_mpf(spec.z), spec.n + mpf(3) / 2) for spec in specs]
+        wp = mpmath.mp.prec
+        params = [(to_mpf(spec.z)._mpf_, 2 * spec.n + 3) for spec in specs]
 
+        # kernel/(z+x²)^((2n+3)/2) as mpf.__pow__ and __div__ compute it:
+        # √(z+x²) at wp+10 bits, its (2n+3)-th power, the quotient; the root
+        # depends on z alone, so the members at one z share it
         def samples(level, live):
             members = [params[i] for i in live]
-            for x, kernel in _level_kernel(level, prec):
-                xx = x * x
-                yield x, [kernel / (z + xx) ** exponent for z, exponent in members]
+            live_z = {z for z, _ in members}
+            for x, xx, kernel in _level_kernel(level, prec):
+                roots = {
+                    z: mpf_sqrt(mpf_add(z, xx, wp, round_nearest), wp + 10, round_nearest)
+                    for z in live_z
+                }
+                yield x, [
+                    mpf_div(kernel, mpf_pow_int(roots[z], power, wp, round_nearest), wp, round_nearest)
+                    for z, power in members
+                ]
 
         results = _refine(samples, len(specs), mpf(1) / 2, prec)
     for spec, result in zip(specs, results):
@@ -214,13 +248,16 @@ def _inner_domain(z_grid, t_grid) -> tuple[list[mpf], list[mpf]]:
     return zs, ts
 
 
+def _inner_closed(z: mpf, t: mpf, root_z: mpf, root_1z: mpf) -> mpf:
+    """inner_integral_closed given root_z = √z and root_1z = √(1+z)."""
+    denom = 1 + z * t * t
+    return 1 / (root_z * denom) - mpmath.sqrt((1 - t) * (1 + t)) / (root_1z * denom)
+
+
 def inner_integral_closed(z, t) -> mpf:
     """1/(√z·(1+z·t²)) − √(1−t²)/(√(1+z)·(1+z·t²)) for z > 0, 0 <= t < 1."""
     (z,), (t,) = _inner_domain([z], [t])
-    denom = 1 + z * t * t
-    return 1 / (mpmath.sqrt(z) * denom) - mpmath.sqrt((1 - t) * (1 + t)) / (
-        mpmath.sqrt(1 + z) * denom
-    )
+    return _inner_closed(z, t, mpmath.sqrt(z), mpmath.sqrt(1 + z))
 
 
 def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECISION) -> list[list[mpf]]:
@@ -233,6 +270,7 @@ def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECIS
     """
     z_grid, t_grid = list(z_grid), list(t_grid)
     with prec.workdps():
+        wp = mpmath.mp.prec
         zs, ts = _inner_domain(z_grid, t_grid)
         width = len(ts)
         three_halves = mpf(3) / 2
@@ -243,9 +281,9 @@ def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECIS
             live_t = {it for _, it in pairs}
             for x, weight in _level_points(level, mpf(0), mpf(1)):
                 xw, xx = x * weight, x * x
-                z_part = {iz: xw / (zs[iz] + xx) ** three_halves for iz in live_z}
-                t_part = {it: 1 / mpmath.sqrt(1 - (x * ts[it]) ** 2) for it in live_t}
-                yield x, [z_part[iz] * t_part[it] for iz, it in pairs]
+                z_part = {iz: (xw / (zs[iz] + xx) ** three_halves)._mpf_ for iz in live_z}
+                t_part = {it: (1 / mpmath.sqrt(1 - (x * ts[it]) ** 2))._mpf_ for it in live_t}
+                yield x, [mpf_mul(z_part[iz], t_part[it], wp, round_nearest) for iz, it in pairs]
 
         results = _refine(samples, len(zs) * width, mpf(1) / 2, prec)
     for i, result in enumerate(results):
@@ -267,9 +305,10 @@ def I0_via_swap(z, prec: Precision = DEFAULT_PRECISION) -> mpf:
         z = to_mpf(z)
         if z <= 0:
             raise DomainError("z must be positive")
+        root_z, root_1z = mpmath.sqrt(z), mpmath.sqrt(1 + z)
 
         def integrand(t):
-            return inner_integral_closed(z, t) / mpmath.sqrt((1 - t) * (1 + t))
+            return _inner_closed(z, t, root_z, root_1z) / mpmath.sqrt((1 - t) * (1 + t))
 
         result = tanh_sinh_integrate(integrand, 0, 1, prec)
         if not result.converged:

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ellipkint import cli
 from ellipkint.cli import MAX_N, main
 from ellipkint.specialvalues import CATALOG
+from ellipkint.verify import SuiteResult
 
 
 def run(capsys, *argv):
@@ -138,6 +140,29 @@ def test_env_tolerance(monkeypatch, capsys):
     monkeypatch.setenv("ELLIPKINT_TOL", "1e-6")
     code, _, _ = run(capsys, "eval", "--n", "0", "--z", "2", "--method", "numeric")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "env,argv,suite_tol,abs_tol",
+    [
+        (None, [], 1e-10, 1e-12),
+        ("1e-6", [], 1e-6, 1e-6),
+        (None, ["--tol", "1e-6"], 1e-6, 1e-6),
+        ("1e-8", ["--tol", "1e-6"], 1e-6, 1e-6),
+    ],
+)
+def test_verify_tolerance_from_env_or_flag(monkeypatch, capsys, env, argv, suite_tol, abs_tol):
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda config: seen.append(config) or SuiteResult())
+    if env is None:
+        monkeypatch.delenv("ELLIPKINT_TOL", raising=False)
+    else:
+        monkeypatch.setenv("ELLIPKINT_TOL", env)
+    code, _, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    (config,) = seen
+    assert config.tol == suite_tol
+    assert config.precision.abs_tol == abs_tol
 
 
 def test_env_tolerance_not_a_number(monkeypatch, capsys):

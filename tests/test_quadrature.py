@@ -20,6 +20,7 @@ from ellipkint import (
     tanh_sinh_integrate,
 )
 from ellipkint import quadrature
+from ellipkint.precision import to_mpf
 
 PREC = Precision()
 
@@ -235,17 +236,27 @@ def test_kernel_table_matches_generic_route(dps, tol):
 
 @pytest.mark.parametrize("dps,tol", [(40, 1e-12), (60, 1e-30)])
 def test_batch_matches_one_spec_calls(dps, tol):
-    """Every member of a batch stops where its own call stops, with the same sum."""
+    """Every member of a batch stops where its own call stops, with the same sum.
+
+    Members at one z share √(z+x²) at each node; a repeated spec is its own member.
+    """
     prec = Precision(abs_tol=tol, dps=dps)
-    specs = [
+    specs = [IntegralSpec(n, 1) for n in (0, 2, 8, 16, 2)] + [
         IntegralSpec(n, z)
-        for n, z in [(0, 1), (16, Fraction(1, 10)), (3, Fraction(7, 2)), (8, 10), (1, Fraction(1, 3))]
+        for n, z in [
+            (16, Fraction(1, 10)),
+            (3, Fraction(7, 2)),
+            (8, Fraction(7, 2)),
+            (8, 10),
+            (1, Fraction(1, 3)),
+            (40, 10**8),
+        ]
     ]
     batch = integral_In_numeric_many(specs, prec)
     single = [integral_In_numeric(spec, prec) for spec in specs]
     assert len({r.levels_used for r in single}) > 1  # members leave at different levels
     for got, want in zip(batch, single):
-        assert got.value == want.value
+        assert got.value._mpf_ == want.value._mpf_
         assert got.error_estimate == want.error_estimate
         assert got.levels_used == want.levels_used
         assert got.evaluations == want.evaluations
@@ -282,12 +293,52 @@ def test_batch_of_no_specs_is_empty():
 
 
 def test_batch_rejects_nonfinite_term(monkeypatch):
-    def poisoned_kernel(level, prec):
-        return [(mpf("0.5"), mpf(1)), (mpf("0.25"), mpmath.inf)]
+    for bad in (mpmath.inf, -mpmath.inf, mpmath.nan):
 
-    monkeypatch.setattr(quadrature, "_level_kernel", poisoned_kernel)
-    with pytest.raises(DomainError, match="not finite"):
-        integral_In_numeric_many([IntegralSpec(0, 1), IntegralSpec(2, 3)], PREC)
+        def poisoned_kernel(level, prec):
+            # the table's shape: (x, x², K(x)·x·w), the last two as raw mpf tuples
+            return [
+                (mpf("0.5"), mpf("0.25")._mpf_, mpf(1)._mpf_),
+                (mpf("0.25"), mpf("0.0625")._mpf_, bad._mpf_),
+            ]
+
+        monkeypatch.setattr(quadrature, "_level_kernel", poisoned_kernel)
+        with pytest.raises(DomainError, match="not finite"):
+            integral_In_numeric_many([IntegralSpec(0, 1), IntegralSpec(2, 3)], PREC)
+
+
+@pytest.mark.parametrize("f", [lambda x: mpmath.mpc(x, 1), lambda x: 1j * x])
+def test_complex_integrand_rejected(f):
+    with pytest.raises(DomainError, match="not real"):
+        tanh_sinh_integrate(f, 0, 1, PREC)
+
+
+@pytest.mark.parametrize("dps", [40, 60])
+def test_raw_terms_match_the_mpf_operators(monkeypatch, dps):
+    """Each term of the raw path is kernel/(z+x²)^(n+3/2) by mpf operators, bit for bit."""
+    prec = Precision(dps=dps)
+    specs = [
+        IntegralSpec(n, z)
+        for n in (0, 1, 2, 8, 16, 40)
+        for z in (Fraction(1, 10), 1, Fraction(67, 10), 10**8)
+    ]
+    checked = []
+
+    def compare_terms(samples, members, scale, p):
+        live = list(range(members))
+        params = [(to_mpf(spec.z), spec.n + mpf(3) / 2) for spec in specs]
+        for level in range(5):
+            table = quadrature._level_kernel(level, p)
+            for (x, terms), (_, _, kernel) in zip(samples(level, live), table):
+                kernel = mpmath.mp.make_mpf(kernel)
+                for term, (z, exponent) in zip(terms, params):
+                    assert term == (kernel / (z + x * x) ** exponent)._mpf_
+                    checked.append(term)
+        return []
+
+    monkeypatch.setattr(quadrature, "_refine", compare_terms)
+    integral_In_numeric_many(specs, prec)
+    assert len(checked) > 100 * len(specs)
 
 
 def test_inner_grid_matches_pointwise_and_unfactored_integrand():
