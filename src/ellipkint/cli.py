@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from .closedform import In_exact_real
-from .precision import DomainError, Precision, ToleranceNotReached
+from .precision import DomainError, Precision, ToleranceNotReached, check_z
 from .quadrature import IntegralSpec, integral_In_numeric
 from .render import render, render_quadext
 from .specialvalues import CATALOG, eval_at_special, relation
@@ -51,8 +51,7 @@ def _parse_z(text: str) -> Fraction:
         raise DomainError(
             f"z must have at most {MAX_Z_DIGITS} digits in numerator and denominator"
         )
-    if z <= 0:
-        raise DomainError(f"z must be positive, got {text}")
+    check_z(z)
     return z
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
-from .precision import DEFAULT_PRECISION, DomainError, Precision, check_index, to_mpf
+from .precision import DEFAULT_PRECISION, Precision, check_index, check_z, to_mpf
 
 
 def double_factorial_odd(n: int) -> int:
@@ -99,9 +99,7 @@ def In_exact_real(n: int, z, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """Floating-point evaluation of the closed-form route for I_n(z)."""
     form = closed_form(n)
     with prec.workdps():
-        z = to_mpf(z)
-        if z <= 0:
-            raise DomainError("z must be positive")
+        z = check_z(z)
         arccot = mpmath.atan(1 / mpmath.sqrt(z))
         bracket = _horner(form.A, z) * arccot / mpmath.sqrt(z * (z + 1)) + _horner(
             form.B, z

@@ -19,7 +19,7 @@ def ellip_k(k, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """
     with prec.workdps():
         k = to_mpf(k)
-        if k < 0 or k >= 1:
+        if not 0 <= k < 1:  # also rejects nan, for which every comparison is false
             raise DomainError(f"modulus must satisfy 0 <= k < 1, got {k}")
         # (1-k)(1+k) avoids cancellation when k is close to 1
         kp = mpmath.sqrt((1 - k) * (1 + k))

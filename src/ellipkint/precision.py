@@ -67,6 +67,15 @@ def check_index(n) -> None:
         raise DomainError(f"family index n must be a nonnegative integer, got {n}")
 
 
+def check_z(z) -> mpf:
+    """The shift parameter z as mpf at the current precision; it must be positive and finite."""
+    value = to_mpf(z)
+    # the negated test also rejects nan, for which every comparison is false
+    if not 0 < value < mpmath.inf:
+        raise DomainError(f"shift parameter z must be positive and finite, got {z}")
+    return value
+
+
 def to_mpf(x) -> mpf:
     """Convert reals (including Fraction) to mpf at the current precision."""
     if isinstance(x, Fraction):

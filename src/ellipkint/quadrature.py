@@ -31,6 +31,7 @@ from .precision import (
     Precision,
     ToleranceNotReached,
     check_index,
+    check_z,
     to_mpf,
 )
 
@@ -49,17 +50,16 @@ class IntegralSpec:
     """Index pair (n, z) of the integral ∫₀¹ K(k)·k/(z+k²)^(n+3/2) dk."""
 
     n: int
-    z: object  # positive real: int, float, Fraction or mpf
+    z: object  # positive finite real: int, float, Fraction or mpf
 
     def __post_init__(self):
         check_index(self.n)
-        if to_mpf(self.z) <= 0:
-            raise DomainError(f"shift parameter z must be positive, got {self.z}")
+        check_z(self.z)
 
 
-# node cache: (working binary precision, level) -> list of (delta, weight)
-# delta is the node's distance from the interval endpoint on [-1, 1] scale,
-# kept separate from the abscissa so endpoint offsets stay accurate.
+# node cache: (working binary precision, level) -> list of (x, weight) for the
+# nodes new on that level, x on (0, 1) and weight that of the (-1, 1) rule;
+# _refine halves the sums, (0, 1) being half as wide.
 _NODE_CACHE: dict[tuple[int, int], list[tuple[mpf, mpf]]] = {}
 
 
@@ -84,7 +84,9 @@ def _level_nodes(level: int) -> list[tuple[mpf, mpf]]:
         if delta < cut:
             break
         weight = pi_half * mpmath.cosh(t) / mpmath.cosh(u) ** 2
-        nodes.append((delta, weight))
+        nodes.append((1 - delta / 2, weight))
+        if delta != 1:  # delta == 1 is the midpoint, count it once
+            nodes.append((delta / 2, weight))
         k += step
     _NODE_CACHE[key] = nodes
     return nodes
@@ -97,23 +99,13 @@ def _level_nodes(level: int) -> list[tuple[mpf, mpf]]:
 _KERNEL_CACHE: dict[tuple[int, int], list[tuple[mpf, tuple, tuple]]] = {}
 
 
-def _level_points(level: int, a: mpf, b: mpf):
-    """(x, weight) for the nodes new on this level, mapped onto (a, b)."""
-    half = (b - a) / 2
-    for delta, weight in _level_nodes(level):
-        offset = half * delta
-        yield b - offset, weight
-        if delta != 1:  # delta == 1 is the midpoint, count it once
-            yield a + offset, weight
-
-
 def _level_kernel(level: int, prec: Precision) -> list[tuple[mpf, tuple, tuple]]:
     key = (mpmath.mp.prec, level)
     cached = _KERNEL_CACHE.get(key)
     if cached is None:
         cached = [
             (x, (x * x)._mpf_, (ellip_k(x, prec) * x * weight)._mpf_)
-            for x, weight in _level_points(level, mpf(0), mpf(1))
+            for x, weight in _level_nodes(level)
         ]
         _KERNEL_CACHE[key] = cached
     return cached
@@ -122,7 +114,7 @@ def _level_kernel(level: int, prec: Precision) -> list[tuple[mpf, tuple, tuple]]
 _NONFINITE = (finf, fninf, fnan)
 
 
-def _refine(samples, members: int, scale: mpf, prec: Precision) -> list[QuadratureResult]:
+def _refine(samples, members: int, prec: Precision) -> list[QuadratureResult]:
     """The level loop of every quadrature here: many sums over one pass of the nodes.
 
     samples(level, live) yields (x, terms) for the nodes new on that level,
@@ -130,10 +122,11 @@ def _refine(samples, members: int, scale: mpf, prec: Precision) -> list[Quadratu
     live[j].  Sums stay raw tuples, added by mpf_add at the working precision
     rounding to nearest, which is what mpf.__add__ calls, so they are the
     operator sums bit for bit without an mpf object per term.  A member's
-    estimate at level L is scale/2^L times the sum of its terms so far; each
-    member stops on its own, as tanh_sinh_integrate says, and then leaves
-    `live`.  A member whose tolerance is below one ulp of its sum at the
-    working precision can never meet it, so it stops at once, unconverged.
+    estimate at level L is the sum of its terms so far over 2^(L+1), the
+    weights being those of (-1, 1); each member stops on its own, as
+    tanh_sinh_integrate says, and then leaves `live`.  A member whose
+    tolerance is below one ulp of its sum at the working precision can never
+    meet it, so it stops at once, unconverged.
     """
     tol = to_mpf(prec.abs_tol)
     wp = mpmath.mp.prec
@@ -153,7 +146,7 @@ def _refine(samples, members: int, scale: mpf, prec: Precision) -> list[Quadratu
                 raw[i] = mpf_add(raw[i], term, wp, round_nearest)
             evaluations += 1
         for i in live:
-            current = mpmath.mp.make_mpf(raw[i]) * scale / 2**level
+            current = mpmath.mp.make_mpf(raw[i]) / 2 ** (level + 1)
             if level > 0:
                 estimate[i] = abs(current - value[i])
                 if estimate[i] <= tol:
@@ -171,28 +164,24 @@ def _refine(samples, members: int, scale: mpf, prec: Precision) -> list[Quadratu
     return results
 
 
-def tanh_sinh_integrate(f, a, b, prec: Precision = DEFAULT_PRECISION) -> QuadratureResult:
-    """Integrate f over the open interval (a, b).
+def tanh_sinh_integrate(f, prec: Precision = DEFAULT_PRECISION) -> QuadratureResult:
+    """Integrate f over the open interval (0, 1).
 
-    f is never called at a or b.  Refines level by level until two successive
+    f is never called at 0 or 1.  Refines level by level until two successive
     level sums differ by at most prec.abs_tol; if the level budget runs out,
     or prec.abs_tol is below one ulp of the sum, the best value is returned
     with converged=False.  f must be real: a complex value raises DomainError.
     """
     with prec.workdps():
-        a = to_mpf(a)
-        b = to_mpf(b)
-        if not a < b:
-            raise DomainError("tanh_sinh_integrate requires a < b")
 
         def samples(level, live):
-            for x, weight in _level_points(level, a, b):
+            for x, weight in _level_nodes(level):
                 term = getattr(f(x) * weight, "_mpf_", None)
                 if term is None:
                     raise DomainError(f"integrand not real at {x}")
                 yield x, (term,)
 
-        return _refine(samples, 1, (b - a) / 2, prec)[0]
+        return _refine(samples, 1, prec)[0]
 
 
 def integral_In_numeric(spec: IntegralSpec, prec: Precision = DEFAULT_PRECISION) -> QuadratureResult:
@@ -228,7 +217,7 @@ def integral_In_numeric_many(specs, prec: Precision = DEFAULT_PRECISION) -> list
                     for z, power in members
                 ]
 
-        results = _refine(samples, len(specs), mpf(1) / 2, prec)
+        results = _refine(samples, len(specs), prec)
     for spec, result in zip(specs, results):
         if not result.converged:
             raise ToleranceNotReached(
@@ -239,25 +228,24 @@ def integral_In_numeric_many(specs, prec: Precision = DEFAULT_PRECISION) -> list
 
 def _inner_domain(z_grid, t_grid) -> tuple[list[mpf], list[mpf]]:
     """The inner integral's arguments as mpf, each z > 0 and each 0 <= t < 1."""
-    zs = [to_mpf(z) for z in z_grid]
+    zs = [check_z(z) for z in z_grid]
     ts = [to_mpf(t) for t in t_grid]
-    if any(z <= 0 for z in zs):
-        raise DomainError("z must be positive")
     if not all(0 <= t < 1 for t in ts):
         raise DomainError("t must lie in [0, 1)")
     return zs, ts
 
 
-def _inner_closed(z: mpf, t: mpf, root_z: mpf, root_1z: mpf) -> mpf:
-    """inner_integral_closed given root_z = √z and root_1z = √(1+z)."""
+def _inner_closed(z: mpf, t: mpf, root_z: mpf, root_1z: mpf, root_t: mpf) -> mpf:
+    """inner_integral_closed given root_z = √z, root_1z = √(1+z) and root_t = √((1−t)(1+t))."""
     denom = 1 + z * t * t
-    return 1 / (root_z * denom) - mpmath.sqrt((1 - t) * (1 + t)) / (root_1z * denom)
+    return 1 / (root_z * denom) - root_t / (root_1z * denom)
 
 
 def inner_integral_closed(z, t) -> mpf:
     """1/(√z·(1+z·t²)) − √(1−t²)/(√(1+z)·(1+z·t²)) for z > 0, 0 <= t < 1."""
     (z,), (t,) = _inner_domain([z], [t])
-    return _inner_closed(z, t, mpmath.sqrt(z), mpmath.sqrt(1 + z))
+    root_t = mpmath.sqrt((1 - t) * (1 + t))
+    return _inner_closed(z, t, mpmath.sqrt(z), mpmath.sqrt(1 + z), root_t)
 
 
 def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECISION) -> list[list[mpf]]:
@@ -279,13 +267,13 @@ def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECIS
             pairs = [divmod(i, width) for i in live]
             live_z = {iz for iz, _ in pairs}
             live_t = {it for _, it in pairs}
-            for x, weight in _level_points(level, mpf(0), mpf(1)):
+            for x, weight in _level_nodes(level):
                 xw, xx = x * weight, x * x
                 z_part = {iz: (xw / (zs[iz] + xx) ** three_halves)._mpf_ for iz in live_z}
                 t_part = {it: (1 / mpmath.sqrt(1 - (x * ts[it]) ** 2))._mpf_ for it in live_t}
                 yield x, [mpf_mul(z_part[iz], t_part[it], wp, round_nearest) for iz, it in pairs]
 
-        results = _refine(samples, len(zs) * width, mpf(1) / 2, prec)
+        results = _refine(samples, len(zs) * width, prec)
     for i, result in enumerate(results):
         if not result.converged:
             iz, it = divmod(i, width)
@@ -302,15 +290,14 @@ def I0_via_swap(z, prec: Precision = DEFAULT_PRECISION) -> mpf:
     independent of the direct (n=0, z) quadrature route.
     """
     with prec.workdps():
-        z = to_mpf(z)
-        if z <= 0:
-            raise DomainError("z must be positive")
+        z = check_z(z)
         root_z, root_1z = mpmath.sqrt(z), mpmath.sqrt(1 + z)
 
         def integrand(t):
-            return _inner_closed(z, t, root_z, root_1z) / mpmath.sqrt((1 - t) * (1 + t))
+            root_t = mpmath.sqrt((1 - t) * (1 + t))
+            return _inner_closed(z, t, root_z, root_1z, root_t) / root_t
 
-        result = tanh_sinh_integrate(integrand, 0, 1, prec)
+        result = tanh_sinh_integrate(integrand, prec)
         if not result.converged:
             raise ToleranceNotReached(f"I0_via_swap({z}) did not converge", result)
         return result.value

@@ -2,22 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .precision import DomainError
-from .quadfield import QuadExt, Surd
+from .quadfield import QuadExt, Surd, _over_common_denominator
 from .specialvalues import ExactValue
 
 FORMATS = ("text", "latex", "json")
-
-
-def _split_coeff(coeff: QuadExt) -> tuple[int, int, int, int]:
-    """coeff = (na + nb*sqrt(d)) / q with integers na, nb and q > 0."""
-    q = math.lcm(coeff.a.denominator, coeff.b.denominator)
-    na = coeff.a.numerator * (q // coeff.a.denominator)
-    nb = coeff.b.numerator * (q // coeff.b.denominator)
-    return na, nb, coeff.d, q
 
 
 # per-format pieces: a square root, the product sign between a numeral and
@@ -56,13 +47,13 @@ def render_quadext(r: QuadExt, format: str = "text") -> str:
 def _term(coeff: QuadExt, surd: Surd, with_pi: bool, format: str) -> tuple[int, str]:
     style = _STYLES[format]
     sign = coeff.sign()
-    na, nb, d, q = _split_coeff(abs(coeff))
+    na, nb, q = _over_common_denominator(abs(coeff))
     times = style["times"]
     if nb == 0:
         numerator = str(na)
     else:
         nb_sign = "+" if nb > 0 else "-"
-        numerator = f"({na}{nb_sign}{abs(nb)}{times}{style['sqrt'].format(d)})"
+        numerator = f"({na}{nb_sign}{abs(nb)}{times}{style['sqrt'].format(coeff.d)})"
     if with_pi:
         numerator = style["pi"] if numerator == "1" else f"{numerator}{times}{style['pi']}"
     parts = [str(q)] if q != 1 else []

@@ -57,12 +57,17 @@ CATALOG: dict[str, SpecialPoint] = {
 
 @dataclass(frozen=True)
 class ExactValue:
-    """pi_coeff*pi/pi_surd + alg_coeff/alg_surd, all surds normalized."""
+    """pi_coeff*pi/pi_surd + alg_coeff/alg_surd, both surds normalized to unit scale."""
 
     pi_coeff: QuadExt
     pi_surd: Surd
     alg_coeff: QuadExt
     alg_surd: Surd
+
+    def __post_init__(self):
+        # a scale belongs in the coefficient: render prints none
+        if self.pi_surd.scale != 1 or self.alg_surd.scale != 1:
+            raise DomainError("ExactValue surds must have unit scale")
 
     def is_zero(self) -> bool:
         return self.pi_coeff.is_zero() and self.alg_coeff.is_zero()

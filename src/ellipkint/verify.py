@@ -17,7 +17,7 @@ import mpmath
 from mpmath import mpf
 
 from .closedform import In_exact_real, closed_form
-from .precision import DEFAULT_PRECISION, DomainError, Precision, to_mpf
+from .precision import DEFAULT_PRECISION, DomainError, Precision, check_z, to_mpf
 from .quadfield import QuadExt, Surd
 from .quadrature import (
     I0_via_swap,
@@ -86,7 +86,6 @@ def check_identity(
     prec: Precision = DEFAULT_PRECISION,
 ) -> CheckReport:
     """|quadrature(LHS) - closed form(RHS)| over an (n, z) grid."""
-    _validate_grid(z_grid)
     specs = [IntegralSpec(n, z) for n in range(n_max + 1) for z in z_grid]
     errors = {}
     with prec.workdps():
@@ -106,13 +105,14 @@ def check_derivative_step(
     """Induction step of the derivative ladder by finite differences.
 
     I_{n+1}(z) must equal -2/(2n+3) * dI_n/dz; the derivative is estimated by
-    central differences at steps h and h/2 with one Richardson round.
+    central differences at steps h and h/2 with one Richardson round;
+    0 < h < z.
     """
     with prec.workdps():
-        x = to_mpf(z)
+        x = check_z(z)
         h = to_mpf(h)
-        if x - h <= 0:
-            raise DomainError("need z - h > 0")
+        if not 0 < h < x:  # also rejects nan, for which every comparison is false
+            raise DomainError("step h must satisfy 0 < h < z")
 
         half = h / 2
         specs = [
@@ -142,7 +142,6 @@ def check_order_swap(
     z_grid=DEFAULT_Z_GRID, tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION
 ) -> CheckReport:
     """Order-of-integration swap: iterated route vs direct quadrature."""
-    _validate_grid(z_grid)
     errors = {}
     with prec.workdps():
         direct = integral_In_numeric_many([IntegralSpec(0, z) for z in z_grid], prec)
@@ -314,8 +313,8 @@ class SuiteConfig:
             raise DomainError("need n_max, fd_n_max and relation_max_index >= 0")
         if not self.z_grid or not self.fd_z_grid:
             raise DomainError("need a nonempty z_grid and fd_z_grid")
-        _validate_grid(self.z_grid)
-        _validate_grid(self.fd_z_grid)
+        for z in (*self.z_grid, *self.fd_z_grid):
+            check_z(z)
 
 
 @dataclass
@@ -340,12 +339,6 @@ class SuiteResult:
 
     def to_json(self) -> list[dict]:
         return [r.to_json() for r in self.reports]
-
-
-def _validate_grid(z_grid):
-    for z in z_grid:
-        if to_mpf(z) <= 0:
-            raise DomainError(f"z grid values must be positive, got {z}")
 
 
 def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteResult:

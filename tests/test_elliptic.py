@@ -39,6 +39,8 @@ def test_k_domain():
         ellip_k(-0.1)
     with pytest.raises(DomainError):
         ellip_k(1.5)
+    with pytest.raises(DomainError):
+        ellip_k(float("nan"))
 
 
 def test_k_lower_bound_and_monotonic():
@@ -59,7 +61,7 @@ def test_k_against_defining_integral(k):
     def integrand(t):
         return 1 / mpmath.sqrt((1 - t * t) * (1 - (k * t) ** 2))
 
-    oracle = tanh_sinh_integrate(integrand, 0, 1, PREC).value
+    oracle = tanh_sinh_integrate(integrand, PREC).value
     assert abs(ellip_k(k) - oracle) < 1e-10
 
 

@@ -72,6 +72,14 @@ def test_json_round_trip(label, n):
     assert exact_value_from_json(payload) == v
 
 
+def test_json_with_a_scaled_surd_is_rejected():
+    # render prints no surd scale, so pi/(4*sqrt(2)) at scale 2 would print as scale 1
+    payload = render(eval_at_special(0, CATALOG["1"]), "json")
+    payload["pi"]["surd"]["scale"] = "2/1"
+    with pytest.raises(DomainError, match="unit scale"):
+        exact_value_from_json(payload)
+
+
 def test_json_schema_shape():
     obj = render(eval_at_special(1, CATALOG["1"]), "json")
     assert set(obj) == {"pi", "alg"}

@@ -6,8 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+import mpmath
+
 from ellipkint import (
     DomainError,
+    I0_via_swap,
+    In_exact_real,
+    IntegralSpec,
     SuiteConfig,
     audit_published_tables,
     check_derivative_step,
@@ -15,6 +20,8 @@ from ellipkint import (
     check_inner_closed_form,
     check_identity,
     check_relations,
+    inner_integral_closed,
+    inner_integral_numeric_grid,
     run_suite,
 )
 from ellipkint import verify
@@ -59,6 +66,12 @@ def test_identity_rejects_bad_grid():
 def test_derivative_step_small_steps_pass():
     assert check_derivative_step(0, F(1), h=1e-4).passed
     assert check_derivative_step(2, F(3), h=1e-4).passed
+
+
+@pytest.mark.parametrize("h", [0, math.nan, -1e-4, 1])
+def test_derivative_step_rejects_a_step_outside_0_z(h):
+    with pytest.raises(DomainError, match="0 < h < z"):
+        check_derivative_step(0, 1, h=h)
 
 
 def test_derivative_step_oversized():
@@ -249,3 +262,28 @@ def test_loose_tolerance_trivially_green():
         relation_max_index=1,
     )
     assert run_suite(config).all_passed
+
+
+# every public entry that takes the shift parameter z, each handed one bad z
+Z_ENTRY_POINTS = {
+    "IntegralSpec": lambda z: IntegralSpec(0, z),
+    "In_exact_real": lambda z: In_exact_real(0, z),
+    "I0_via_swap": I0_via_swap,
+    "inner_integral_closed": lambda z: inner_integral_closed(z, 0.5),
+    "inner_integral_numeric_grid": lambda z: inner_integral_numeric_grid([1, z], [0.5]),
+    # an inf in z_grid used to pass the whole suite: its nan error was never the worst
+    "SuiteConfig.z_grid": lambda z: SuiteConfig(n_max=0, z_grid=(1, z)),
+    "SuiteConfig.fd_z_grid": lambda z: SuiteConfig(fd_z_grid=(1, z)),
+    "check_identity": lambda z: check_identity(n_max=0, z_grid=(1, z)),
+    "check_order_swap": lambda z: check_order_swap(z_grid=(1, z)),
+    "check_derivative_step": lambda z: check_derivative_step(0, z),
+}
+
+
+@pytest.mark.parametrize(
+    "z", [0, -1, math.nan, math.inf, mpmath.inf], ids=["0", "-1", "nan", "inf", "mpf-inf"]
+)
+@pytest.mark.parametrize("entry", sorted(Z_ENTRY_POINTS))
+def test_every_z_entry_point_rejects_z_outside_the_domain(entry, z):
+    with pytest.raises(DomainError, match="positive and finite"):
+        Z_ENTRY_POINTS[entry](z)
