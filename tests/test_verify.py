@@ -4,9 +4,8 @@ import json
 import math
 from fractions import Fraction
 
-import pytest
-
 import mpmath
+import pytest
 
 from ellipkint import (
     DomainError,
