@@ -41,13 +41,11 @@ class Precision:
     dps: int = 40
 
     def __post_init__(self):
-        # the negated test also rejects nan, for which every comparison is false
-        if not 0 < self.abs_tol < math.inf:
-            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if self.max_level < 1:
-            raise DomainError("max_level must be >= 1")
-        if self.dps < 15:
-            raise DomainError("dps must be >= 15")
+        check_tol(self.abs_tol, "abs_tol")
+        if not isinstance(self.max_level, numbers.Integral) or self.max_level < 1:
+            raise DomainError(f"max_level must be an integer >= 1, got {self.max_level}")
+        if not isinstance(self.dps, numbers.Integral) or self.dps < 15:
+            raise DomainError(f"dps must be an integer >= 15, got {self.dps}")
 
     @property
     def working_dps(self) -> int:
@@ -56,6 +54,13 @@ class Precision:
 
     def workdps(self):
         return mpmath.workdps(self.working_dps)
+
+
+def check_tol(tol, name: str = "tol") -> None:
+    """A tolerance must be a real number with 0 < tol < inf."""
+    # the negated test also rejects nan, for which every comparison is false
+    if not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {tol}")
 
 
 DEFAULT_PRECISION = Precision()

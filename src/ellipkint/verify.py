@@ -17,14 +17,13 @@ import mpmath
 from mpmath import mpf
 
 from .closedform import In_exact_real, closed_form
-from .precision import DEFAULT_PRECISION, DomainError, Precision, check_z, to_mpf
+from .precision import DEFAULT_PRECISION, DomainError, Precision, check_tol, check_z, to_mpf
 from .quadfield import QuadExt, Surd
 from .quadrature import (
     I0_via_swap,
     IntegralSpec,
     inner_integral_closed,
     inner_integral_numeric_grid,
-    integral_In_numeric,
     integral_In_numeric_many,
 )
 from .render import render
@@ -77,6 +76,59 @@ def _report(name: str, errors: dict, tol: float, notes: str = "") -> CheckReport
 
 
 DEFAULT_Z_GRID = (Fraction(1, 10), Fraction(1, 3), Fraction(1), Fraction(3), Fraction(10))
+DEFAULT_STEP = 1e-4
+
+# A check that compares I_n(z) quadratures comes in two parts: the specs it
+# needs, with every input rule applied, and a comparison that reads their
+# values from a lookup spec -> value.  Alone it makes one batch of its own
+# specs; run_suite makes one batch for all of them.
+
+
+def _spec_key(spec: IntegralSpec) -> tuple:
+    # z as integral_In_numeric_many reads it, so that inside prec.workdps()
+    # the grid's Fraction(1, 3) and the ladder's mpf 1/3 are one spec
+    return spec.n, to_mpf(spec.z)._mpf_
+
+
+def _quadratures(specs, prec: Precision):
+    """One integral_In_numeric_many call over the distinct specs; returns spec -> value.
+
+    Each value is the one the spec's own call gives, as every member of a
+    batch keeps its own sum and stop rule.  The table lives as long as the
+    returned lookup.
+    """
+    with prec.workdps():
+        distinct = {}
+        for spec in specs:
+            distinct.setdefault(_spec_key(spec), spec)
+        results = integral_In_numeric_many(distinct.values(), prec)
+        table = {key: result.value for key, result in zip(distinct, results)}
+
+    def value(spec: IntegralSpec) -> mpf:
+        with prec.workdps():
+            return table[_spec_key(spec)]
+
+    return value
+
+
+def _alone(part, prec: Precision):
+    specs, compare = part
+    return compare(_quadratures(specs, prec))
+
+
+def _identity(n_max, z_grid, tol, prec):
+    check_tol(tol)
+    specs = [IntegralSpec(n, z) for n in range(n_max + 1) for z in z_grid]
+
+    def compare(value):
+        errors = {}
+        with prec.workdps():
+            for spec in specs:
+                exact = In_exact_real(spec.n, spec.z, prec)
+                errors[f"n={spec.n}, z={spec.z}"] = abs(value(spec) - exact)
+        return _report(f"integral identity, n<={n_max}, {len(z_grid)} z values", errors, tol)
+
+    return specs, compare
 
 
 def check_identity(
@@ -86,19 +138,47 @@ def check_identity(
     prec: Precision = DEFAULT_PRECISION,
 ) -> CheckReport:
     """|quadrature(LHS) - closed form(RHS)| over an (n, z) grid."""
-    specs = [IntegralSpec(n, z) for n in range(n_max + 1) for z in z_grid]
-    errors = {}
+    return _alone(_identity(n_max, z_grid, tol, prec), prec)
+
+
+def _derivative_step(n, z, h, rel_tol, prec):
+    check_tol(rel_tol, "rel_tol")
     with prec.workdps():
-        for spec, result in zip(specs, integral_In_numeric_many(specs, prec)):
-            exact = In_exact_real(spec.n, spec.z, prec)
-            errors[f"n={spec.n}, z={spec.z}"] = abs(result.value - exact)
-    return _report(f"integral identity, n<={n_max}, {len(z_grid)} z values", errors, tol)
+        x = check_z(z)
+        h = to_mpf(h)
+        if not 0 < h < x:  # also rejects nan, for which every comparison is false
+            raise DomainError("step h must satisfy 0 < h < z")
+        half = h / 2
+        specs = [
+            IntegralSpec(n, x + h),
+            IntegralSpec(n, x - h),
+            IntegralSpec(n, x + half),
+            IntegralSpec(n, x - half),
+            IntegralSpec(n + 1, x),
+        ]
+
+    def compare(value):
+        with prec.workdps():
+            up, down, up_half, down_half, target = map(value, specs)
+            d_coarse = (up - down) / (2 * h)
+            d_fine = (up_half - down_half) / (2 * half)
+            derivative = (4 * d_fine - d_coarse) / 3
+            candidate = -2 * derivative / (2 * n + 3)
+            rel_err = abs(candidate - target) / abs(target)
+            notes = ""
+            correction = abs(derivative - d_fine)
+            if correction > abs(derivative) * mpf("1e-3"):
+                notes = "Richardson correction large; step likely oversized"
+        name = f"derivative ladder n={n} -> {n + 1} at z={z}"
+        return _report(name, {f"n={n}, z={z}": rel_err}, rel_tol, notes)
+
+    return specs, compare
 
 
 def check_derivative_step(
     n: int,
     z,
-    h: float = 1e-4,
+    h: float = DEFAULT_STEP,
     rel_tol: float = 1e-6,
     prec: Precision = DEFAULT_PRECISION,
 ) -> CheckReport:
@@ -108,52 +188,35 @@ def check_derivative_step(
     central differences at steps h and h/2 with one Richardson round;
     0 < h < z.
     """
-    with prec.workdps():
-        x = check_z(z)
-        h = to_mpf(h)
-        if not 0 < h < x:  # also rejects nan, for which every comparison is false
-            raise DomainError("step h must satisfy 0 < h < z")
+    return _alone(_derivative_step(n, z, h, rel_tol, prec), prec)
 
-        half = h / 2
-        specs = [
-            IntegralSpec(n, x + h),
-            IntegralSpec(n, x - h),
-            IntegralSpec(n, x + half),
-            IntegralSpec(n, x - half),
-            IntegralSpec(n + 1, x),
-        ]
-        up, down, up_half, down_half, target = (
-            r.value for r in integral_In_numeric_many(specs, prec)
-        )
-        d_coarse = (up - down) / (2 * h)
-        d_fine = (up_half - down_half) / (2 * half)
-        derivative = (4 * d_fine - d_coarse) / 3
-        candidate = -2 * derivative / (2 * n + 3)
-        rel_err = abs(candidate - target) / abs(target)
-        notes = ""
-        correction = abs(derivative - d_fine)
-        if correction > abs(derivative) * mpf("1e-3"):
-            notes = "Richardson correction large; step likely oversized"
-    name = f"derivative ladder n={n} -> {n + 1} at z={z}"
-    return _report(name, {f"n={n}, z={z}": rel_err}, rel_tol, notes)
+
+def _order_swap(z_grid, tol, prec):
+    check_tol(tol)
+    specs = [IntegralSpec(0, z) for z in z_grid]
+
+    def compare(value):
+        errors = {}
+        with prec.workdps():
+            for spec in specs:
+                errors[f"z={spec.z}"] = abs(I0_via_swap(spec.z, prec) - value(spec))
+        return _report("order-swap identity for I_0", errors, tol)
+
+    return specs, compare
 
 
 def check_order_swap(
     z_grid=DEFAULT_Z_GRID, tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION
 ) -> CheckReport:
     """Order-of-integration swap: iterated route vs direct quadrature."""
-    errors = {}
-    with prec.workdps():
-        direct = integral_In_numeric_many([IntegralSpec(0, z) for z in z_grid], prec)
-        for z, result in zip(z_grid, direct):
-            errors[f"z={z}"] = abs(I0_via_swap(z, prec) - result.value)
-    return _report("order-swap identity for I_0", errors, tol)
+    return _alone(_order_swap(z_grid, tol, prec), prec)
 
 
 def check_inner_closed_form(
     z_grid=None, t_grid=None, tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION
 ) -> CheckReport:
     """Inner-integral closed form vs its quadrature on a (z, t) grid."""
+    check_tol(tol)
     if z_grid is None:
         z_grid = [Fraction(1, 10) + Fraction(11, 10) * i for i in range(10)]
     if t_grid is None:
@@ -211,6 +274,48 @@ def _published_tables() -> list[tuple[str, int, str, ExactValue, bool]]:
     ]
 
 
+def _audit_spec(n: int, point_label: str) -> IntegralSpec:
+    return IntegralSpec(n, CATALOG[point_label].z.a)
+
+
+def _audit(tol, prec):
+    check_tol(tol)
+    entries = _published_tables()
+    specs = [_audit_spec(n, point) for _, n, point, _, expect_match in entries if not expect_match]
+
+    def compare(value):
+        reports = []
+        for label, n, point_label, printed, expect_match in entries:
+            computed = eval_at_special(n, CATALOG[point_label])
+            matches = computed == printed
+            if expect_match:
+                errors = {label: 0.0 if matches else math.inf}
+                notes = "exact rational/surd comparison"
+                reports.append(_report(f"table audit {label}", errors, 0.0, notes))
+                continue
+            # expected mismatch: report both forms and let the quadrature decide
+            numeric = value(_audit_spec(n, point_label))
+            err_computed = abs(numeric - computed.to_mpf(prec))
+            err_printed = abs(numeric - printed.to_mpf(prec))
+            # the printed-form rejection threshold is deliberately independent of
+            # tol: the gap between the printed surd and the true value is a fixed
+            # mathematical quantity, not something a loose run should blur away
+            ok = (
+                (not matches)
+                and err_computed <= tol
+                and err_printed > max(mpf("1e-6"), 100 * err_computed)
+            )
+            notes = (
+                f"printed: {render(printed)} | computed: {render(computed)} | "
+                f"quadrature deviates from printed by {float(err_printed):.3e}"
+            )
+            name = f"table audit {label} (expected MISMATCH)"
+            reports.append(CheckReport(name, float(err_computed), tol, ok, 1, notes))
+        return reports
+
+    return specs, compare
+
+
 def audit_published_tables(
     tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION
 ) -> list[CheckReport]:
@@ -220,35 +325,34 @@ def audit_published_tables(
     disagrees with both independent routes; that entry passes when the
     mismatch is observed and the quadrature sides with the computed value.
     """
-    reports = []
-    for label, n, point_label, printed, expect_match in _published_tables():
-        computed = eval_at_special(n, CATALOG[point_label])
-        matches = computed == printed
-        if expect_match:
-            errors = {label: 0.0 if matches else math.inf}
-            notes = "exact rational/surd comparison"
-            reports.append(_report(f"table audit {label}", errors, 0.0, notes))
-            continue
-        # expected mismatch: report both forms and let the quadrature decide
-        spec = IntegralSpec(n, CATALOG[point_label].z.a)
-        numeric = integral_In_numeric(spec, prec).value
-        err_computed = abs(numeric - computed.to_mpf(prec))
-        err_printed = abs(numeric - printed.to_mpf(prec))
-        # the printed-form rejection threshold is deliberately independent of
-        # tol: the gap between the printed surd and the true value is a fixed
-        # mathematical quantity, not something a loose run should blur away
-        ok = (
-            (not matches)
-            and err_computed <= tol
-            and err_printed > max(mpf("1e-6"), 100 * err_computed)
-        )
-        notes = (
-            f"printed: {render(printed)} | computed: {render(computed)} | "
-            f"quadrature deviates from printed by {float(err_printed):.3e}"
-        )
-        name = f"table audit {label} (expected MISMATCH)"
-        reports.append(CheckReport(name, float(err_computed), tol, ok, 1, notes))
-    return reports
+    return _alone(_audit(tol, prec), prec)
+
+
+def _relations(max_index, tol, prec):
+    check_tol(tol)
+    specs = [IntegralSpec(k, 1) for k in range(max_index + 1)]
+
+    def compare(value):
+        pairs = [in1_pair(k) for k in range(max_index + 1)]
+        errors = {}
+        with prec.workdps():
+            sqrt2 = mpmath.sqrt(2)
+            numeric = [sqrt2 * value(spec) for spec in specs]
+            for n in range(max_index + 1):
+                for m in range(max_index + 1):
+                    a_m, b_m = pairs[m]
+                    if b_m == 0:
+                        continue
+                    P, Q = _relation(pairs[n], pairs[m])
+                    a_n, b_n = pairs[n]
+                    # exact: both the pi and the rational component must vanish
+                    exact = b_n + P * b_m == 0 and a_n + P * a_m + Q == 0
+                    residual = abs(numeric[n] + to_mpf(P) * numeric[m] + to_mpf(Q))
+                    errors[f"n={n}, m={m}"] = residual if exact else math.inf
+        notes = "exact rational check per pair; a miss reads as inf"
+        return _report("pairwise rational relations at z=1", errors, tol, notes)
+
+    return specs, compare
 
 
 def check_relations(
@@ -259,25 +363,7 @@ def check_relations(
     Exactness is checked in rational arithmetic for every pair; the numeric
     side replays the relation with quadrature values of the integrals.
     """
-    pairs = [in1_pair(k) for k in range(max_index + 1)]
-    errors = {}
-    with prec.workdps():
-        sqrt2 = mpmath.sqrt(2)
-        specs = [IntegralSpec(k, 1) for k in range(max_index + 1)]
-        numeric = [sqrt2 * r.value for r in integral_In_numeric_many(specs, prec)]
-        for n in range(max_index + 1):
-            for m in range(max_index + 1):
-                a_m, b_m = pairs[m]
-                if b_m == 0:
-                    continue
-                P, Q = _relation(pairs[n], pairs[m])
-                a_n, b_n = pairs[n]
-                # exact: both the pi and the rational component must vanish
-                exact = b_n + P * b_m == 0 and a_n + P * a_m + Q == 0
-                residual = abs(numeric[n] + to_mpf(P) * numeric[m] + to_mpf(Q))
-                errors[f"n={n}, m={m}"] = residual if exact else math.inf
-    notes = "exact rational check per pair; a miss reads as inf"
-    return _report("pairwise rational relations at z=1", errors, tol, notes)
+    return _alone(_relations(max_index, tol, prec), prec)
 
 
 def check_structure(n_max: int = 12) -> CheckReport:
@@ -311,6 +397,8 @@ class SuiteConfig:
     def __post_init__(self):
         if min(self.n_max, self.fd_n_max, self.relation_max_index) < 0:
             raise DomainError("need n_max, fd_n_max and relation_max_index >= 0")
+        check_tol(self.tol)
+        check_tol(self.fd_rel_tol, "fd_rel_tol")
         if not self.z_grid or not self.fd_z_grid:
             raise DomainError("need a nonempty z_grid and fd_z_grid")
         for z in (*self.z_grid, *self.fd_z_grid):
@@ -342,19 +430,35 @@ class SuiteResult:
 
 
 def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteResult:
-    """Run every cross-check; deterministic for a fixed config."""
+    """Run every cross-check; deterministic for a fixed config.
+
+    Every input rule runs first.  Then the checks that compare I_n(z)
+    quadratures share one integral_In_numeric_many pass over their distinct
+    specs.  Its table of values lives for this call only, so nothing is kept
+    between runs.
+    """
     tol, prec = config.tol, config.precision
     # every closed form the suite compares, and never fewer than n <= 12
     structure_n = max(12, config.n_max, config.fd_n_max + 1, config.relation_max_index)
+    identity = _identity(config.n_max, config.z_grid, tol, prec)
+    swap = _order_swap(config.z_grid, tol, prec)
+    ladder = [
+        _derivative_step(n, z, DEFAULT_STEP, config.fd_rel_tol, prec)
+        for n in range(config.fd_n_max + 1)
+        for z in config.fd_z_grid
+    ]
+    audit = _audit(tol, prec)
+    relations = _relations(config.relation_max_index, tol, prec)
+    parts = [identity, swap, *ladder, audit, relations]
+    value = _quadratures([spec for specs, _ in parts for spec in specs], prec)
+    identity, swap, *ladder, audit, relations = (compare for _, compare in parts)
     reports = [
         check_structure(structure_n),
-        check_identity(config.n_max, config.z_grid, tol, prec),
+        identity(value),
         check_inner_closed_form(tol=tol, prec=prec),
-        check_order_swap(config.z_grid, tol, prec),
+        swap(value),
+        *(step(value) for step in ladder),
+        *audit(value),
+        relations(value),
     ]
-    for n in range(config.fd_n_max + 1):
-        for z in config.fd_z_grid:
-            reports.append(check_derivative_step(n, z, rel_tol=config.fd_rel_tol, prec=prec))
-    reports += audit_published_tables(tol, prec)
-    reports.append(check_relations(config.relation_max_index, tol, prec))
     return SuiteResult(reports)

@@ -175,6 +175,25 @@ def test_precision_rejects_nonpositive_or_nonfinite_tolerance(tol):
         Precision(abs_tol=tol)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("dps", math.nan),
+        ("dps", 40.0),
+        ("dps", "40"),
+        ("dps", 14),
+        ("max_level", 2.5),
+        ("max_level", math.nan),
+        ("max_level", 0),
+    ],
+)
+def test_precision_rejects_a_non_integer_or_small_dps_or_max_level(field, value):
+    # a bad value must fail here, typed, not later as a bare ValueError or
+    # TypeError inside the level loop
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        Precision(**{field: value})
+
+
 def test_kernel_table_shared_across_specs(monkeypatch):
     calls = []
 

@@ -12,7 +12,9 @@ from ellipkint import (
     I0_via_swap,
     In_exact_real,
     IntegralSpec,
+    Precision,
     SuiteConfig,
+    ToleranceNotReached,
     audit_published_tables,
     check_derivative_step,
     check_order_swap,
@@ -286,3 +288,80 @@ Z_ENTRY_POINTS = {
 def test_every_z_entry_point_rejects_z_outside_the_domain(entry, z):
     with pytest.raises(DomainError, match="positive and finite"):
         Z_ENTRY_POINTS[entry](z)
+
+
+# every public entry that takes a check tolerance, each handed one bad
+# tolerance; Precision.abs_tol, under the same rule, has its own test
+TOL_ENTRY_POINTS = {
+    "SuiteConfig.tol": lambda tol: SuiteConfig(tol=tol),
+    "SuiteConfig.fd_rel_tol": lambda tol: SuiteConfig(fd_rel_tol=tol),
+    "check_identity": lambda tol: check_identity(0, (1,), tol=tol),
+    "check_derivative_step": lambda tol: check_derivative_step(0, 1, rel_tol=tol),
+    "check_order_swap": lambda tol: check_order_swap((1,), tol=tol),
+    "check_inner_closed_form": lambda tol: check_inner_closed_form([1], [0.5], tol=tol),
+    "audit_published_tables": lambda tol: audit_published_tables(tol=tol),
+    "check_relations": lambda tol: check_relations(2, tol=tol),
+}
+
+
+@pytest.mark.parametrize(
+    "tol", [math.nan, -1.0, 0, math.inf, "1e-10"], ids=["nan", "-1", "0", "inf", "str"]
+)
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+def test_every_tolerance_entry_point_rejects_a_tolerance_outside_0_inf(monkeypatch, entry, tol):
+    # the rule runs before any work: a bad tolerance is a usage error, not a
+    # failing report that would make run_suite exit 3 (numeric failure)
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran before the tolerance was checked")
+
+    monkeypatch.setattr(verify, "integral_In_numeric_many", no_quadrature)
+    monkeypatch.setattr(verify, "inner_integral_numeric_grid", no_quadrature)
+    with pytest.raises(DomainError, match="positive and finite"):
+        TOL_ENTRY_POINTS[entry](tol)
+
+
+@pytest.mark.parametrize(
+    "config,specs", [(SuiteConfig(), 107), (SMALL_CONFIG, 8)], ids=["default", "small"]
+)
+def test_suite_makes_one_quadrature_pass_over_its_distinct_specs(monkeypatch, config, specs):
+    # the default suite compares 137 specs; the grid's Fraction(1, 3) and the
+    # ladder's mpf 1/3 are one of the 107 distinct ones
+    real = verify.integral_In_numeric_many
+    calls = []
+
+    def counting(batch, prec):
+        batch = list(batch)
+        calls.append(len(batch))
+        return real(batch, prec)
+
+    monkeypatch.setattr(verify, "integral_In_numeric_many", counting)
+    assert run_suite(config).all_passed
+    assert calls == [specs]
+
+
+def test_each_check_alone_matches_its_report_in_the_suite(small_suite):
+    c = SMALL_CONFIG
+    alone = [
+        check_structure(12),
+        check_identity(c.n_max, c.z_grid, c.tol, c.precision),
+        check_inner_closed_form(tol=c.tol, prec=c.precision),
+        check_order_swap(c.z_grid, c.tol, c.precision),
+        *[
+            check_derivative_step(n, z, rel_tol=c.fd_rel_tol, prec=c.precision)
+            for n in range(c.fd_n_max + 1)
+            for z in c.fd_z_grid
+        ],
+        *audit_published_tables(c.tol, c.precision),
+        check_relations(c.relation_max_index, c.tol, c.precision),
+    ]
+    assert alone == small_suite.reports
+
+
+@pytest.mark.parametrize(
+    "prec",
+    [Precision(abs_tol=1e-60), Precision(abs_tol=1e-30, max_level=1)],
+    ids=["below-one-ulp", "levels-run-out"],
+)
+def test_suite_raises_when_a_quadrature_cannot_converge(prec):
+    with pytest.raises(ToleranceNotReached):
+        run_suite(dataclasses.replace(SMALL_CONFIG, precision=prec))
