@@ -66,10 +66,10 @@ def check_tol(tol, name: str = "tol") -> None:
 DEFAULT_PRECISION = Precision()
 
 
-def check_index(n) -> None:
-    """The family index n of I_n must be a nonnegative integer."""
+def check_index(n, name: str = "family index n") -> None:
+    """The family index n of I_n, or an order up to which n runs, must be a nonnegative integer."""
     if not isinstance(n, numbers.Integral) or n < 0:
-        raise DomainError(f"family index n must be a nonnegative integer, got {n}")
+        raise DomainError(f"{name} must be a nonnegative integer, got {n}")
 
 
 def check_z(z) -> mpf:

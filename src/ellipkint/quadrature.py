@@ -192,14 +192,17 @@ def integral_In_numeric(spec: IntegralSpec, prec: Precision = DEFAULT_PRECISION)
 def integral_In_numeric_many(specs, prec: Precision = DEFAULT_PRECISION) -> list[QuadratureResult]:
     """integral_In_numeric for every spec, all advanced over one pass of each level.
 
-    Each spec keeps its own sum and stop rule, so its result is the one its
-    own integral_In_numeric call gives.  Raises ToleranceNotReached for the
-    first spec that did not converge.
+    Specs with the same n and the same z as mpf at the working precision are
+    one integral, run once, so a repeated spec costs nothing.  Each integral
+    keeps its own sum and stop rule, so every result, returned in input
+    order, is the one the spec's own integral_In_numeric call gives.  Raises
+    ToleranceNotReached for the first spec that did not converge.
     """
     specs = list(specs)
     with prec.workdps():
         wp = mpmath.mp.prec
-        params = [(to_mpf(spec.z)._mpf_, 2 * spec.n + 3) for spec in specs]
+        keys = [(to_mpf(spec.z)._mpf_, 2 * spec.n + 3) for spec in specs]
+        params = list(dict.fromkeys(keys))  # one member per distinct integral
 
         # kernel/(z+x²)^((2n+3)/2) as mpf.__pow__ and __div__ compute it:
         # √(z+x²) at wp+10 bits, its (2n+3)-th power, the quotient; the root
@@ -217,7 +220,8 @@ def integral_In_numeric_many(specs, prec: Precision = DEFAULT_PRECISION) -> list
                     for z, power in members
                 ]
 
-        results = _refine(samples, len(specs), prec)
+        distinct = dict(zip(params, _refine(samples, len(params), prec)))
+    results = [distinct[key] for key in keys]
     for spec, result in zip(specs, results):
         if not result.converged:
             raise ToleranceNotReached(

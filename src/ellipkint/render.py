@@ -80,21 +80,36 @@ def _surd_json(s: Surd) -> dict:
     return {"radicand": _quadext_json(s.radicand), "scale": _fraction_str(s.scale)}
 
 
+def _fraction_from_json(text) -> Fraction:
+    # every rational is written as a "p/q" string; Fraction would also take a
+    # float or a bool and quietly read another number
+    if not isinstance(text, str):
+        raise DomainError(f"a rational must be a string, got {text!r}")
+    return Fraction(text)
+
+
 def _quadext_from_json(obj: dict) -> QuadExt:
-    return QuadExt(Fraction(obj["a"]), Fraction(obj["b"]), int(obj["d"]))
+    # d goes through as written, so QuadExt's rule rejects 3.7 or true
+    return QuadExt(_fraction_from_json(obj["a"]), _fraction_from_json(obj["b"]), obj["d"])
 
 
 def _surd_from_json(obj: dict) -> Surd:
-    return Surd(_quadext_from_json(obj["radicand"]), Fraction(obj["scale"]))
+    return Surd(_quadext_from_json(obj["radicand"]), _fraction_from_json(obj["scale"]))
 
 
 def exact_value_from_json(obj: dict) -> ExactValue:
-    return ExactValue(
-        pi_coeff=_quadext_from_json(obj["pi"]["coeff"]),
-        pi_surd=_surd_from_json(obj["pi"]["surd"]),
-        alg_coeff=_quadext_from_json(obj["alg"]["coeff"]),
-        alg_surd=_surd_from_json(obj["alg"]["surd"]),
-    )
+    """The exact value render(v, "json") wrote; a malformed document is a DomainError."""
+    try:
+        return ExactValue(
+            pi_coeff=_quadext_from_json(obj["pi"]["coeff"]),
+            pi_surd=_surd_from_json(obj["pi"]["surd"]),
+            alg_coeff=_quadext_from_json(obj["alg"]["coeff"]),
+            alg_surd=_surd_from_json(obj["alg"]["surd"]),
+        )
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+        raise DomainError(f"not an exact value document: {err!r}") from err
 
 
 def render(v: ExactValue, format: str = "text"):

@@ -17,7 +17,15 @@ import mpmath
 from mpmath import mpf
 
 from .closedform import In_exact_real, closed_form
-from .precision import DEFAULT_PRECISION, DomainError, Precision, check_tol, check_z, to_mpf
+from .precision import (
+    DEFAULT_PRECISION,
+    DomainError,
+    Precision,
+    check_index,
+    check_tol,
+    check_z,
+    to_mpf,
+)
 from .quadfield import QuadExt, Surd
 from .quadrature import (
     I0_via_swap,
@@ -79,53 +87,28 @@ DEFAULT_Z_GRID = (Fraction(1, 10), Fraction(1, 3), Fraction(1), Fraction(3), Fra
 DEFAULT_STEP = 1e-4
 
 # A check that compares I_n(z) quadratures comes in two parts: the specs it
-# needs, with every input rule applied, and a comparison that reads their
-# values from a lookup spec -> value.  Alone it makes one batch of its own
-# specs; run_suite makes one batch for all of them.
-
-
-def _spec_key(spec: IntegralSpec) -> tuple:
-    # z as integral_In_numeric_many reads it, so that inside prec.workdps()
-    # the grid's Fraction(1, 3) and the ladder's mpf 1/3 are one spec
-    return spec.n, to_mpf(spec.z)._mpf_
-
-
-def _quadratures(specs, prec: Precision):
-    """One integral_In_numeric_many call over the distinct specs; returns spec -> value.
-
-    Each value is the one the spec's own call gives, as every member of a
-    batch keeps its own sum and stop rule.  The table lives as long as the
-    returned lookup.
-    """
-    with prec.workdps():
-        distinct = {}
-        for spec in specs:
-            distinct.setdefault(_spec_key(spec), spec)
-        results = integral_In_numeric_many(distinct.values(), prec)
-        table = {key: result.value for key, result in zip(distinct, results)}
-
-    def value(spec: IntegralSpec) -> mpf:
-        with prec.workdps():
-            return table[_spec_key(spec)]
-
-    return value
+# needs, with every input rule applied, and a comparison that takes their
+# values in the same order.  Alone it makes one batch of its own specs;
+# run_suite makes one batch of every part's specs and hands each part its
+# share, and the batch runs each distinct integral once.
 
 
 def _alone(part, prec: Precision):
     specs, compare = part
-    return compare(_quadratures(specs, prec))
+    return compare([result.value for result in integral_In_numeric_many(specs, prec)])
 
 
 def _identity(n_max, z_grid, tol, prec):
+    check_index(n_max, "n_max")
     check_tol(tol)
     specs = [IntegralSpec(n, z) for n in range(n_max + 1) for z in z_grid]
 
-    def compare(value):
+    def compare(values):
         errors = {}
         with prec.workdps():
-            for spec in specs:
+            for spec, value in zip(specs, values):
                 exact = In_exact_real(spec.n, spec.z, prec)
-                errors[f"n={spec.n}, z={spec.z}"] = abs(value(spec) - exact)
+                errors[f"n={spec.n}, z={spec.z}"] = abs(value - exact)
         return _report(f"integral identity, n<={n_max}, {len(z_grid)} z values", errors, tol)
 
     return specs, compare
@@ -157,9 +140,9 @@ def _derivative_step(n, z, h, rel_tol, prec):
             IntegralSpec(n + 1, x),
         ]
 
-    def compare(value):
+    def compare(values):
         with prec.workdps():
-            up, down, up_half, down_half, target = map(value, specs)
+            up, down, up_half, down_half, target = values
             d_coarse = (up - down) / (2 * h)
             d_fine = (up_half - down_half) / (2 * half)
             derivative = (4 * d_fine - d_coarse) / 3
@@ -195,11 +178,11 @@ def _order_swap(z_grid, tol, prec):
     check_tol(tol)
     specs = [IntegralSpec(0, z) for z in z_grid]
 
-    def compare(value):
+    def compare(values):
         errors = {}
         with prec.workdps():
-            for spec in specs:
-                errors[f"z={spec.z}"] = abs(I0_via_swap(spec.z, prec) - value(spec))
+            for spec, value in zip(specs, values):
+                errors[f"z={spec.z}"] = abs(I0_via_swap(spec.z, prec) - value)
         return _report("order-swap identity for I_0", errors, tol)
 
     return specs, compare
@@ -274,16 +257,13 @@ def _published_tables() -> list[tuple[str, int, str, ExactValue, bool]]:
     ]
 
 
-def _audit_spec(n: int, point_label: str) -> IntegralSpec:
-    return IntegralSpec(n, CATALOG[point_label].z.a)
-
-
 def _audit(tol, prec):
     check_tol(tol)
     entries = _published_tables()
-    specs = [_audit_spec(n, point) for _, n, point, _, expect_match in entries if not expect_match]
+    specs = [IntegralSpec(n, CATALOG[p].z.a) for _, n, p, _, match in entries if not match]
 
-    def compare(value):
+    def compare(values):
+        numerics = iter(values)
         reports = []
         for label, n, point_label, printed, expect_match in entries:
             computed = eval_at_special(n, CATALOG[point_label])
@@ -294,7 +274,7 @@ def _audit(tol, prec):
                 reports.append(_report(f"table audit {label}", errors, 0.0, notes))
                 continue
             # expected mismatch: report both forms and let the quadrature decide
-            numeric = value(_audit_spec(n, point_label))
+            numeric = next(numerics)
             err_computed = abs(numeric - computed.to_mpf(prec))
             err_printed = abs(numeric - printed.to_mpf(prec))
             # the printed-form rejection threshold is deliberately independent of
@@ -329,15 +309,16 @@ def audit_published_tables(
 
 
 def _relations(max_index, tol, prec):
+    check_index(max_index, "max_index")
     check_tol(tol)
     specs = [IntegralSpec(k, 1) for k in range(max_index + 1)]
 
-    def compare(value):
+    def compare(values):
         pairs = [in1_pair(k) for k in range(max_index + 1)]
         errors = {}
         with prec.workdps():
             sqrt2 = mpmath.sqrt(2)
-            numeric = [sqrt2 * value(spec) for spec in specs]
+            numeric = [sqrt2 * value for value in values]
             for n in range(max_index + 1):
                 for m in range(max_index + 1):
                     a_m, b_m = pairs[m]
@@ -368,6 +349,7 @@ def check_relations(
 
 def check_structure(n_max: int = 12) -> CheckReport:
     """Degrees and leading coefficients of the closed forms."""
+    check_index(n_max, "n_max")
     errors = {}
     for n in range(n_max + 1):
         form = closed_form(n)
@@ -395,8 +377,8 @@ class SuiteConfig:
     precision: Precision = DEFAULT_PRECISION
 
     def __post_init__(self):
-        if min(self.n_max, self.fd_n_max, self.relation_max_index) < 0:
-            raise DomainError("need n_max, fd_n_max and relation_max_index >= 0")
+        for name in ("n_max", "fd_n_max", "relation_max_index"):
+            check_index(getattr(self, name), name)
         check_tol(self.tol)
         check_tol(self.fd_rel_tol, "fd_rel_tol")
         if not self.z_grid or not self.fd_z_grid:
@@ -433,9 +415,9 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteResult:
     """Run every cross-check; deterministic for a fixed config.
 
     Every input rule runs first.  Then the checks that compare I_n(z)
-    quadratures share one integral_In_numeric_many pass over their distinct
-    specs.  Its table of values lives for this call only, so nothing is kept
-    between runs.
+    quadratures share one integral_In_numeric_many call over all their specs,
+    which runs each distinct integral once, and each check takes its share of
+    the values in order.  Nothing is kept between runs.
     """
     tol, prec = config.tol, config.precision
     # every closed form the suite compares, and never fewer than n <= 12
@@ -450,15 +432,18 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteResult:
     audit = _audit(tol, prec)
     relations = _relations(config.relation_max_index, tol, prec)
     parts = [identity, swap, *ladder, audit, relations]
-    value = _quadratures([spec for specs, _ in parts for spec in specs], prec)
-    identity, swap, *ladder, audit, relations = (compare for _, compare in parts)
+    results = integral_In_numeric_many([spec for specs, _ in parts for spec in specs], prec)
+    values = (result.value for result in results)
+    identity, swap, *ladder, audit, relations = (
+        compare([next(values) for _ in specs]) for specs, compare in parts
+    )
     reports = [
         check_structure(structure_n),
-        identity(value),
+        identity,
         check_inner_closed_form(tol=tol, prec=prec),
-        swap(value),
-        *(step(value) for step in ladder),
-        *audit(value),
-        relations(value),
+        swap,
+        *ladder,
+        *audit,
+        relations,
     ]
     return SuiteResult(reports)

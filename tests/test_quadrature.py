@@ -252,7 +252,7 @@ def test_kernel_table_matches_generic_route(dps, tol):
 def test_batch_matches_one_spec_calls(dps, tol):
     """Every member of a batch stops where its own call stops, with the same sum.
 
-    Members at one z share √(z+x²) at each node; a repeated spec is its own member.
+    Members at one z share √(z+x²) at each node; a repeated spec shares its member.
     """
     prec = Precision(abs_tol=tol, dps=dps)
     specs = [IntegralSpec(n, 1) for n in (0, 2, 8, 16, 2)] + [
@@ -275,6 +275,37 @@ def test_batch_matches_one_spec_calls(dps, tol):
         assert got.levels_used == want.levels_used
         assert got.evaluations == want.evaluations
         assert got.converged and want.converged
+
+
+def test_batch_runs_each_distinct_integral_once(monkeypatch):
+    """Specs with one n and one z at the working precision share a member of _refine."""
+    with PREC.workdps():
+        third = mpf(1) / 3  # the working-precision 1/3, as Fraction(1, 3) reads there
+    specs = [
+        IntegralSpec(2, Fraction(1, 3)),
+        IntegralSpec(0, 1),
+        IntegralSpec(2, Fraction(1, 3)),
+        IntegralSpec(0, Fraction(1)),
+        IntegralSpec(5, Fraction(7, 2)),
+        IntegralSpec(2, third),
+    ]
+    real = quadrature._refine
+    members = []
+
+    def counting(samples, count, prec):
+        members.append(count)
+        return real(samples, count, prec)
+
+    monkeypatch.setattr(quadrature, "_refine", counting)
+    batch = integral_In_numeric_many(specs, PREC)
+    assert members == [3]
+    assert len(batch) == len(specs)
+    for spec, got in zip(specs, batch):
+        want = integral_In_numeric(spec, PREC)
+        assert got.value._mpf_ == want.value._mpf_
+        assert got.error_estimate == want.error_estimate
+        assert got.levels_used == want.levels_used
+        assert got.evaluations == want.evaluations
 
 
 def test_batch_names_the_member_that_did_not_converge():
@@ -348,7 +379,7 @@ def test_raw_terms_match_the_mpf_operators(monkeypatch, dps):
                 for term, (z, exponent) in zip(terms, params):
                     assert term == (kernel / (z + x * x) ** exponent)._mpf_
                     checked.append(term)
-        return []
+        return [quadrature.QuadratureResult(mpf(0), mpf(0), 0, 0)] * members
 
     monkeypatch.setattr(quadrature, "_refine", compare_terms)
     integral_In_numeric_many(specs, prec)

@@ -80,6 +80,39 @@ def test_json_with_a_scaled_surd_is_rejected():
         exact_value_from_json(payload)
 
 
+@pytest.mark.parametrize(
+    "path,bad",
+    [
+        (("pi", "surd", "radicand", "d"), 3.7),
+        (("pi", "surd", "radicand", "d"), True),
+        (("pi", "surd", "radicand", "d"), "5"),
+        (("pi", "coeff", "a"), 0.1),
+        (("pi", "coeff", "a"), "one tenth"),
+        (("alg", "surd", "scale"), "1/0"),
+        (("alg",), None),
+        (("pi", "coeff"), ["1/10", "0/1", 1]),
+    ],
+    ids=["d-float", "d-bool", "d-str", "a-float", "a-literal", "scale-1/0", "alg-null", "coeff-list"],
+)
+def test_json_with_a_bad_field_is_a_domain_error(path, bad):
+    # I_0(5+2sqrt5) = pi/(10*sqrt(50+22*sqrt(5))); int(3.7) or int(true) would
+    # quietly read another radicand
+    payload = render(eval_at_special(0, CATALOG["cot2-pi-10"]), "json")
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    with pytest.raises(DomainError):
+        exact_value_from_json(payload)
+
+
+def test_json_with_a_missing_field_is_a_domain_error():
+    payload = render(eval_at_special(0, CATALOG["cot2-pi-10"]), "json")
+    del payload["pi"]["surd"]["radicand"]["d"]
+    with pytest.raises(DomainError):
+        exact_value_from_json(payload)
+
+
 def test_json_schema_shape():
     obj = render(eval_at_special(1, CATALOG["1"]), "json")
     assert set(obj) == {"pi", "alg"}

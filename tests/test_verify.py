@@ -25,7 +25,7 @@ from ellipkint import (
     inner_integral_numeric_grid,
     run_suite,
 )
-from ellipkint import verify
+from ellipkint import quadrature, verify
 from ellipkint.verify import check_structure
 
 F = Fraction
@@ -245,6 +245,26 @@ def test_suite_rejects_invalid_config():
             SuiteConfig(**bad)
 
 
+# every public entry that takes an order up to which the family index runs,
+# each handed one order that is not a nonnegative integer
+ORDER_ENTRY_POINTS = {
+    "SuiteConfig.n_max": lambda order: SuiteConfig(n_max=order),
+    "SuiteConfig.fd_n_max": lambda order: SuiteConfig(fd_n_max=order),
+    "SuiteConfig.relation_max_index": lambda order: SuiteConfig(relation_max_index=order),
+    "check_identity": lambda order: check_identity(n_max=order, z_grid=(F(1),)),
+    "check_derivative_step": lambda order: check_derivative_step(order, 1),
+    "check_relations": lambda order: check_relations(max_index=order),
+    "check_structure": lambda order: check_structure(order),
+}
+
+
+@pytest.mark.parametrize("order", [0.5, 1.5, F(5, 2), "2"], ids=["0.5", "1.5", "5/2", "str"])
+@pytest.mark.parametrize("entry", sorted(ORDER_ENTRY_POINTS))
+def test_every_order_entry_point_rejects_a_non_integer_order(entry, order):
+    with pytest.raises(DomainError, match="nonnegative integer"):
+        ORDER_ENTRY_POINTS[entry](order)
+
+
 def test_suite_small_config_deterministic():
     first = run_suite(SMALL_CONFIG)
     second = run_suite(SMALL_CONFIG)
@@ -325,18 +345,20 @@ def test_every_tolerance_entry_point_rejects_a_tolerance_outside_0_inf(monkeypat
 )
 def test_suite_makes_one_quadrature_pass_over_its_distinct_specs(monkeypatch, config, specs):
     # the default suite compares 137 specs; the grid's Fraction(1, 3) and the
-    # ladder's mpf 1/3 are one of the 107 distinct ones
-    real = verify.integral_In_numeric_many
-    calls = []
+    # ladder's mpf 1/3 are one of the 107 distinct ones.  Counted are the
+    # _refine passes of I_n(z) quadratures, not those of the inner grid or the
+    # order swap.
+    real = quadrature._refine
+    members = []
 
-    def counting(batch, prec):
-        batch = list(batch)
-        calls.append(len(batch))
-        return real(batch, prec)
+    def counting(samples, count, prec):
+        if samples.__qualname__.startswith("integral_In_numeric_many."):
+            members.append(count)
+        return real(samples, count, prec)
 
-    monkeypatch.setattr(verify, "integral_In_numeric_many", counting)
+    monkeypatch.setattr(quadrature, "_refine", counting)
     assert run_suite(config).all_passed
-    assert calls == [specs]
+    assert members == [specs]
 
 
 def test_each_check_alone_matches_its_report_in_the_suite(small_suite):
