@@ -60,15 +60,19 @@ def _check_index(flag: str, value: int) -> None:
         raise DomainError(f"{flag} must lie in 0..{MAX_N}, got {value}")
 
 
-def _precision(args) -> Precision:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        text = os.environ.get("ELLIPKINT_TOL", "1e-12")
-        try:
-            tol = float(text)
-        except ValueError:
-            raise DomainError(f"ELLIPKINT_TOL must be a number, got {text!r}") from None
-    return Precision(abs_tol=tol)
+def _tol(args):
+    """The tolerance asked for, by --tol or else ELLIPKINT_TOL; None if neither."""
+    if args.tol is not None or "ELLIPKINT_TOL" not in os.environ:
+        return args.tol
+    text = os.environ["ELLIPKINT_TOL"]
+    try:
+        return float(text)
+    except ValueError:
+        raise DomainError(f"ELLIPKINT_TOL must be a number, got {text!r}") from None
+
+
+def _precision(tol) -> Precision:
+    return Precision() if tol is None else Precision(abs_tol=tol)
 
 
 def _emit(args, text: str):
@@ -84,7 +88,7 @@ def _emit(args, text: str):
 
 
 def cmd_eval(args) -> int:
-    prec = _precision(args)
+    prec = _precision(_tol(args))
     z = _parse_z(args.z)
     _check_index("--n", args.n)
     rows = {}
@@ -161,11 +165,9 @@ def cmd_relation(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    prec = _precision(args)
-    # a tolerance asked for, by --tol or ELLIPKINT_TOL, sets both the
-    # quadratures' and the checks'; the checks default to 1e-10
-    asked = args.tol is not None or "ELLIPKINT_TOL" in os.environ
-    config = SuiteConfig(tol=prec.abs_tol if asked else 1e-10, precision=prec)
+    tol = _tol(args)
+    # a tolerance asked for sets both the quadratures' and the checks'
+    config = SuiteConfig() if tol is None else SuiteConfig(tol=tol, precision=_precision(tol))
     result = run_suite(config)
     if args.format == "json":
         _emit(args, json.dumps(result.to_json(), indent=2))

@@ -1,10 +1,10 @@
 """Arithmetic in a real quadratic field Q(sqrt(d)) plus formal square roots.
 
-QuadExt is a + b*sqrt(d) with rational a, b and square-free d > 0 (d = 1 is
-the plain rationals).  Surd is a formal sqrt of a positive QuadExt with a
-rational scale factor pulled out front; normalization extracts rational
-square factors from the radicand and demotes radicands that are perfect
-squares inside their own field.  Square factors whose root leaves the field
+QuadExt is a + b*sqrt(d) with rational a, b and square-free 0 < d < 2**32
+(d = 1 is the plain rationals).  Surd is a formal sqrt of a positive QuadExt
+with a rational scale factor pulled out front; normalization extracts
+rational square factors from the radicand and demotes radicands that are
+perfect squares inside their own field.  Square factors whose root leaves the field
 (e.g. 2+sqrt(3) = (1+sqrt(3))**2 / 2) are deliberately left nested.
 """
 
@@ -57,7 +57,7 @@ def _sqrt_fraction(q: Fraction) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class QuadExt:
-    """a + b*sqrt(d) with rational a, b; d a square-free positive int, d=1 rational."""
+    """a + b*sqrt(d) with rational a, b; d a square-free int in [1, 2**32), d=1 rational."""
 
     a: Fraction
     b: Fraction = Fraction(0)
@@ -66,8 +66,10 @@ class QuadExt:
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or not is_squarefree(self.d):
-            raise DomainError(f"d must be a square-free positive integer, got {self.d}")
+        d = self.d
+        # the bound keeps square_part's trial division below 2**16
+        if not isinstance(d, int) or isinstance(d, bool) or not 0 < d < 2**32 or not is_squarefree(d):
+            raise DomainError(f"d must be a square-free integer in [1, 2**32), got {d}")
         if self.d == 1 and self.b != 0:
             # fold sqrt(1) into the rational part
             object.__setattr__(self, "a", self.a + self.b)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .precision import DomainError
@@ -68,6 +69,9 @@ def _term(coeff: QuadExt, surd: Surd, with_pi: bool, format: str) -> tuple[int, 
     return sign, style["frac"].format(numerator, denominator)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
+
+
 def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
@@ -81,10 +85,11 @@ def _surd_json(s: Surd) -> dict:
 
 
 def _fraction_from_json(text) -> Fraction:
-    # every rational is written as a "p/q" string; Fraction would also take a
-    # float or a bool and quietly read another number
-    if not isinstance(text, str):
-        raise DomainError(f"a rational must be a string, got {text!r}")
+    # exactly the "p/q" that _fraction_str writes: Fraction would also take a
+    # float or a bool and quietly read another number, read "1e3", and build
+    # the power of ten of "1e10000000" in full
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise DomainError(f"a rational must be a 'p/q' string of integers, got {text!r}")
     return Fraction(text)
 
 

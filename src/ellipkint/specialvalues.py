@@ -82,20 +82,20 @@ class ExactValue:
             return +value
 
 
-def _normalized_term(raw, radical: QuadExt) -> tuple[QuadExt, Surd]:
+def _normalized_term(raw, radical) -> tuple[QuadExt, Surd]:
     """Canonicalize raw / sqrt(radical) into (coefficient, unit-scale surd)."""
-    if not isinstance(raw, QuadExt):
-        raw = QuadExt(Fraction(raw))
+    raw = QuadExt._coerce(raw)
     if raw.is_zero():
         return _ZERO, UNIT_SURD
-    normalized = surd_normalize(Surd(radical))
+    normalized = surd_normalize(Surd(QuadExt._coerce(radical)))
     if isinstance(normalized, QuadExt):  # radical was a perfect square
         return raw / normalized, UNIT_SURD
     coeff = raw / normalized.scale
     return coeff, Surd(normalized.radicand)
 
 
-def make_exact_value(pi_raw: QuadExt, pi_radical: QuadExt, alg_raw: QuadExt, alg_radical: QuadExt) -> ExactValue:
+def make_exact_value(pi_raw, pi_radical, alg_raw, alg_radical) -> ExactValue:
+    """pi_raw*pi/sqrt(pi_radical) + alg_raw/sqrt(alg_radical); each a QuadExt, int or Fraction."""
     pi_coeff, pi_surd = _normalized_term(pi_raw, pi_radical)
     alg_coeff, alg_surd = _normalized_term(alg_raw, alg_radical)
     return ExactValue(pi_coeff, pi_surd, alg_coeff, alg_surd)
@@ -133,13 +133,13 @@ def _relation(pair_n, pair_m) -> tuple[Fraction, Fraction]:
 
 
 def in1_pair(k: int) -> tuple[Fraction, Fraction]:
-    """(a_k, b_k) with sqrt(2)*I_k(1) = a_k + b_k*pi, exactly."""
-    value = eval_at_special(k, CATALOG["1"])
-    # at z = 1 both surds are sqrt(2) (or absent for zero terms)
-    sqrt2 = Surd(QuadExt(Fraction(2)))
-    for coeff, surd in ((value.pi_coeff, value.pi_surd), (value.alg_coeff, value.alg_surd)):
-        if not coeff.is_zero() and surd != sqrt2:
-            raise AssertionError(f"unexpected surd at z=1: {surd}")
-        if not coeff.is_rational():
-            raise AssertionError(f"unexpected irrational coefficient at z=1: {coeff}")
-    return value.alg_coeff.a, value.pi_coeff.a
+    """(a_k, b_k) with sqrt(2)*I_k(1) = a_k + b_k*pi, exactly.
+
+    Read off the closed form: at z = 1, ArcCot(1) = pi/4 and z(z+1) = z+1 = 2,
+    so a_k = prefactor*B_k(1)/2**k and b_k = prefactor*A_k(1)/2**(k+2).
+    """
+    form = closed_form(k)
+    return (
+        form.prefactor * Fraction(sum(form.B), 2**k),
+        form.prefactor * Fraction(sum(form.A), 2 ** (k + 2)),
+    )

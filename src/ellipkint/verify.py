@@ -215,45 +215,26 @@ def check_inner_closed_form(
 
 # -- published value tables, stored as exact data ---------------------------
 
-def _rational_value(pi_c, pi_rad, alg_c, alg_rad) -> ExactValue:
-    def lift(x):
-        return x if isinstance(x, QuadExt) else QuadExt(Fraction(x), Fraction(0), 1)
-
-    return make_exact_value(lift(pi_c), lift(pi_rad), lift(alg_c), lift(alg_rad))
-
-
 def _published_tables() -> list[tuple[str, int, str, ExactValue, bool]]:
     """(label, n, point label, printed value, expected to match)."""
     f = Fraction
     q = QuadExt
     return [
-        ("I_0(1)", 0, "1", _rational_value(f(1, 4), 2, 0, 1), True),
-        ("I_1(1)", 1, "1", _rational_value(f(1, 8), 2, f(1, 6), 2), True),
-        ("I_2(1)", 2, "1", _rational_value(f(19, 240), 2, f(1, 6), 2), True),
-        ("I_3(1)", 3, "1", _rational_value(f(9, 160), 2, f(121, 840), 2), True),
-        ("I_0(3)", 0, "3", _rational_value(f(1, 12), 3, 0, 1), True),
-        ("I_1(3)", 1, "3", _rational_value(f(7, 432), 3, f(1, 72), 1), True),
+        ("I_0(1)", 0, "1", make_exact_value(f(1, 4), 2, 0, 1), True),
+        ("I_1(1)", 1, "1", make_exact_value(f(1, 8), 2, f(1, 6), 2), True),
+        ("I_2(1)", 2, "1", make_exact_value(f(19, 240), 2, f(1, 6), 2), True),
+        ("I_3(1)", 3, "1", make_exact_value(f(9, 160), 2, f(121, 840), 2), True),
+        ("I_0(3)", 0, "3", make_exact_value(f(1, 12), 3, 0, 1), True),
+        ("I_1(3)", 1, "3", make_exact_value(f(7, 432), 3, f(1, 72), 1), True),
         # printed with sqrt(2); the recurrence and the quadrature both give
         # sqrt(3) here, so this entry is expected NOT to match (see audit)
-        ("I_2(3)", 2, "3", _rational_value(f(11, 2880), 2, f(1, 180), 1), False),
-        ("I_0(1/3)", 0, "1/3", _rational_value(f(1, 2), 1, 0, 1), True),
+        ("I_2(3)", 2, "3", make_exact_value(f(11, 2880), 2, f(1, 180), 1), False),
+        ("I_0(1/3)", 0, "1/3", make_exact_value(f(1, 2), 1, 0, 1), True),
         # 3*sqrt(3)/8 = 9/(8*sqrt(3)), 9*sqrt(3)/10 = 27/(10*sqrt(3))
-        ("I_1(1/3)", 1, "1/3", _rational_value(f(5, 8), 1, f(9, 8), 3), True),
-        ("I_2(1/3)", 2, "1/3", _rational_value(f(177, 160), 1, f(27, 10), 3), True),
-        (
-            "I_0(5+2sqrt5)",
-            0,
-            "cot2-pi-10",
-            _rational_value(f(1, 10), q(f(50), f(22), 5), 0, 1),
-            True,
-        ),
-        (
-            "I_0(7+4sqrt3)",
-            0,
-            "cot2-pi-12",
-            _rational_value(f(1, 24), q(f(26), f(15), 3), 0, 1),
-            True,
-        ),
+        ("I_1(1/3)", 1, "1/3", make_exact_value(f(5, 8), 1, f(9, 8), 3), True),
+        ("I_2(1/3)", 2, "1/3", make_exact_value(f(177, 160), 1, f(27, 10), 3), True),
+        ("I_0(5+2sqrt5)", 0, "cot2-pi-10", make_exact_value(f(1, 10), q(50, 22, 5), 0, 1), True),
+        ("I_0(7+4sqrt3)", 0, "cot2-pi-12", make_exact_value(f(1, 24), q(26, 15, 3), 0, 1), True),
     ]
 
 
@@ -308,6 +289,21 @@ def audit_published_tables(
     return _alone(_audit(tol, prec), prec)
 
 
+def _z1_decomposition(k: int):
+    """(a_k, b_k) read off eval_at_special(k, 1), or None if it is not a_k + b_k*pi.
+
+    sqrt(2)*I_k(1) splits into a rational and a rational multiple of pi only
+    if each surd is sqrt(2), or carries a zero coefficient, and each
+    coefficient is rational.
+    """
+    value = eval_at_special(k, CATALOG["1"])
+    sqrt2 = Surd(QuadExt(2))
+    for coeff, surd in ((value.pi_coeff, value.pi_surd), (value.alg_coeff, value.alg_surd)):
+        if not coeff.is_rational() or (surd != sqrt2 and not coeff.is_zero()):
+            return None
+    return value.alg_coeff.a, value.pi_coeff.a
+
+
 def _relations(max_index, tol, prec):
     check_index(max_index, "max_index")
     check_tol(tol)
@@ -315,21 +311,19 @@ def _relations(max_index, tol, prec):
 
     def compare(values):
         pairs = [in1_pair(k) for k in range(max_index + 1)]
+        # exact: each pair must be what the exact value at z = 1 decomposes into
+        exact = [_z1_decomposition(k) == pair for k, pair in enumerate(pairs)]
         errors = {}
         with prec.workdps():
             sqrt2 = mpmath.sqrt(2)
             numeric = [sqrt2 * value for value in values]
             for n in range(max_index + 1):
                 for m in range(max_index + 1):
-                    a_m, b_m = pairs[m]
-                    if b_m == 0:
+                    if pairs[m][1] == 0:
                         continue
                     P, Q = _relation(pairs[n], pairs[m])
-                    a_n, b_n = pairs[n]
-                    # exact: both the pi and the rational component must vanish
-                    exact = b_n + P * b_m == 0 and a_n + P * a_m + Q == 0
                     residual = abs(numeric[n] + to_mpf(P) * numeric[m] + to_mpf(Q))
-                    errors[f"n={n}, m={m}"] = residual if exact else math.inf
+                    errors[f"n={n}, m={m}"] = residual if exact[n] and exact[m] else math.inf
         notes = "exact rational check per pair; a miss reads as inf"
         return _report("pairwise rational relations at z=1", errors, tol, notes)
 
@@ -341,8 +335,9 @@ def check_relations(
 ) -> CheckReport:
     """Pairwise rational relations between sqrt(2)*I_n(1) values.
 
-    Exactness is checked in rational arithmetic for every pair; the numeric
-    side replays the relation with quadrature values of the integrals.
+    Exactness: every (a_k, b_k) that in1_pair reads off the closed form must
+    be what eval_at_special's exact value at z = 1 decomposes into.  The
+    numeric side replays each relation with quadrature values of the integrals.
     """
     return _alone(_relations(max_index, tol, prec), prec)
 

@@ -27,10 +27,13 @@ def test_square_part():
 def test_d_must_be_squarefree():
     with pytest.raises(DomainError):
         qe(1, 1, 4)
-    # d is an int: neither a float (integral or not), a bool nor a Fraction
-    for d in (2.5, 5.0, True, F(5)):
+    # d is an int: neither a float (integral or not), a bool nor a Fraction;
+    # and below 2**32, where square_part's trial division would run ~sqrt(d)
+    # steps: 4294967311 is the smallest prime above 2**32
+    for d in (2.5, 5.0, True, F(5), 2**32, 4294967311, 2**61 - 1):
         with pytest.raises(DomainError):
             qe(1, 1, d)
+    assert qe(0, 1, 4294967291).d == 4294967291  # the largest prime below 2**32
 
 
 def test_d_one_folds_into_rational():

@@ -88,11 +88,28 @@ def test_json_with_a_scaled_surd_is_rejected():
         (("pi", "surd", "radicand", "d"), "5"),
         (("pi", "coeff", "a"), 0.1),
         (("pi", "coeff", "a"), "one tenth"),
+        # only the "p/q" render writes: no exponent, no decimal point, and
+        # no power of ten built in full
+        (("pi", "coeff", "a"), "1e3"),
+        (("pi", "coeff", "a"), "0.5"),
+        (("pi", "coeff", "a"), "1e10000000"),
         (("alg", "surd", "scale"), "1/0"),
         (("alg",), None),
         (("pi", "coeff"), ["1/10", "0/1", 1]),
     ],
-    ids=["d-float", "d-bool", "d-str", "a-float", "a-literal", "scale-1/0", "alg-null", "coeff-list"],
+    ids=[
+        "d-float",
+        "d-bool",
+        "d-str",
+        "a-float",
+        "a-literal",
+        "a-exponent",
+        "a-decimal",
+        "a-huge-exponent",
+        "scale-1/0",
+        "alg-null",
+        "coeff-list",
+    ],
 )
 def test_json_with_a_bad_field_is_a_domain_error(path, bad):
     # I_0(5+2sqrt5) = pi/(10*sqrt(50+22*sqrt(5))); int(3.7) or int(true) would

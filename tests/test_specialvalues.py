@@ -52,6 +52,18 @@ def test_eval_z1_table():
         assert in1_pair(n) == (a, b)
 
 
+def test_in1_pair_is_the_exact_value_at_1_decomposed():
+    # sqrt(2)*I_k(1) = a_k + b_k*pi: the pair read off the closed form must be
+    # the one eval_at_special's exact value splits into
+    sqrt2 = Surd(qe(2))
+    for k in range(101):
+        v = eval_at_special(k, CATALOG["1"])
+        assert v.pi_surd == sqrt2 and v.pi_coeff.is_rational()
+        assert v.alg_coeff.is_rational()
+        assert v.alg_surd == sqrt2 or v.alg_coeff.is_zero()
+        assert in1_pair(k) == (v.alg_coeff.a, v.pi_coeff.a)
+
+
 def test_eval_cot_points():
     v = eval_at_special(0, CATALOG["cot2-pi-10"])
     assert v.pi_coeff == qe(F(1, 10))
@@ -139,6 +151,12 @@ def test_make_exact_value_normalizes():
     v = make_exact_value(qe(1), qe(104, 60, 3), qe(0), qe(1))
     assert v.pi_surd == Surd(qe(26, 15, 3))
     assert v.pi_coeff == qe(F(1, 2))
+
+
+def test_make_exact_value_takes_rationals():
+    lifted = make_exact_value(qe(F(1, 4)), qe(2), qe(0), qe(1))
+    assert make_exact_value(F(1, 4), 2, 0, 1) == lifted
+    assert lifted.pi_coeff == qe(F(1, 4)) and lifted.pi_surd == Surd(qe(2))
 
 
 def test_zero_value():

@@ -109,6 +109,22 @@ def test_relations_check():
     assert report.cases == 25  # b_m is nonzero for every m
 
 
+def test_relations_miss_reads_inf(monkeypatch):
+    # a_2 one off: every relation still solves from the perturbed pairs, so
+    # only the comparison with the exact value at z = 1 can see it
+    real = verify.in1_pair
+
+    def perturbed(k):
+        a, b = real(k)
+        return (a + 1, b) if k == 2 else (a, b)
+
+    monkeypatch.setattr(verify, "in1_pair", perturbed)
+    report = check_relations(max_index=4)
+    assert not report.passed
+    assert report.max_abs_error == math.inf
+    assert "worst at n=0, m=2" in report.notes  # the first pair with k = 2
+
+
 def test_reports_are_self_consistent(small_suite):
     for report in small_suite.reports:
         assert report.passed == (report.max_abs_error <= report.tolerance)
