@@ -42,9 +42,9 @@ class Precision:
 
     def __post_init__(self):
         check_tol(self.abs_tol, "abs_tol")
-        if not isinstance(self.max_level, numbers.Integral) or self.max_level < 1:
+        if not _is_integer(self.max_level) or self.max_level < 1:
             raise DomainError(f"max_level must be an integer >= 1, got {self.max_level}")
-        if not isinstance(self.dps, numbers.Integral) or self.dps < 15:
+        if not _is_integer(self.dps) or self.dps < 15:
             raise DomainError(f"dps must be an integer >= 15, got {self.dps}")
 
     @property
@@ -63,12 +63,17 @@ def check_tol(tol, name: str = "tol") -> None:
         raise DomainError(f"{name} must be positive and finite, got {tol}")
 
 
+def _is_integer(x) -> bool:
+    # a bool is an Integral, but True as an index or a level is a slip, not a 1
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 DEFAULT_PRECISION = Precision()
 
 
 def check_index(n, name: str = "family index n") -> None:
     """The family index n of I_n, or an order up to which n runs, must be a nonnegative integer."""
-    if not isinstance(n, numbers.Integral) or n < 0:
+    if not _is_integer(n) or n < 0:
         raise DomainError(f"{name} must be a nonnegative integer, got {n}")
 
 

@@ -1,11 +1,12 @@
 """Arithmetic in a real quadratic field Q(sqrt(d)) plus formal square roots.
 
 QuadExt is a + b*sqrt(d) with rational a, b and square-free 0 < d < 2**32
-(d = 1 is the plain rationals).  Surd is a formal sqrt of a positive QuadExt
-with a rational scale factor pulled out front; normalization extracts
-rational square factors from the radicand and demotes radicands that are
-perfect squares inside their own field.  Square factors whose root leaves the field
-(e.g. 2+sqrt(3) = (1+sqrt(3))**2 / 2) are deliberately left nested.
+(d = 1 is the plain rationals).  Surd is the formal sqrt of a positive
+QuadExt.  Normalization splits a surd into a QuadExt multiplier and a surd:
+the multiplier takes the rational square factors of the radicand, or the whole
+root when the radicand is a perfect square inside its own field.  Square
+factors whose root leaves the field (e.g. 2+sqrt(3) = (1+sqrt(3))**2 / 2) are
+deliberately left nested.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import mpmath
 from mpmath import mpf
@@ -22,9 +23,10 @@ from .precision import DomainError, to_mpf
 
 
 def square_part(n: int) -> tuple[int, int]:
-    """n = s**2 * f with f square-free; returns (s, f).  Requires n > 0."""
-    if n <= 0:
-        raise DomainError("square_part requires a positive integer")
+    """n = s**2 * f with f square-free; returns (s, f).  Requires 0 < n < 2**32."""
+    # the bound keeps the trial division below 2**16 steps
+    if not 0 < n < 2**32:
+        raise DomainError(f"square_part requires an integer in [1, 2**32), got {n}")
     s, f = 1, 1
     p = 2
     while p * p <= n:
@@ -67,7 +69,7 @@ class QuadExt:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
         d = self.d
-        # the bound keeps square_part's trial division below 2**16
+        # square_part's bound, as is_squarefree runs it on d
         if not isinstance(d, int) or isinstance(d, bool) or not 0 < d < 2**32 or not is_squarefree(d):
             raise DomainError(f"d must be a square-free integer in [1, 2**32), got {d}")
         if self.d == 1 and self.b != 0:
@@ -230,23 +232,19 @@ class QuadExt:
 
 @dataclass(frozen=True)
 class Surd:
-    """rational_scale * sqrt(radicand) with radicand a positive QuadExt."""
+    """sqrt(radicand) with radicand a positive QuadExt."""
 
     radicand: QuadExt
-    scale: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", Fraction(self.scale))
         if self.radicand.sign() <= 0:
             raise DomainError("surd radicand must be positive")
 
     def to_mpf(self) -> mpf:
-        return to_mpf(self.scale) * mpmath.sqrt(self.radicand.to_mpf())
+        return mpmath.sqrt(self.radicand.to_mpf())
 
     def __repr__(self):
-        if self.scale == 1:
-            return f"Surd(sqrt({self.radicand}))"
-        return f"Surd({self.scale}*sqrt({self.radicand}))"
+        return f"Surd(sqrt({self.radicand}))"
 
 
 UNIT_SURD = Surd(QuadExt(Fraction(1)))
@@ -276,12 +274,12 @@ def _polyval(coefficients, z: QuadExt) -> QuadExt:
     return QuadExt(Fraction(P, scale), Fraction(Q, scale), z.d)
 
 
-def surd_normalize(s: Surd) -> Union[Surd, QuadExt]:
-    """Canonical form of a surd.
+def surd_normalize(s: Surd) -> tuple[QuadExt, Surd]:
+    """Canonical form of a surd: (multiplier, surd) with sqrt(s.radicand) == multiplier*surd.
 
-    Rational square factors of the radicand move into the scale, leaving an
-    integer radicand with square-free content; a radicand that is a perfect
-    square inside its field collapses the surd to a QuadExt.
+    The multiplier takes the rational square factors of the radicand, leaving
+    an integer radicand with square-free content; a radicand that is a perfect
+    square inside its field moves whole into the multiplier, leaving UNIT_SURD.
     """
     r = s.radicand
     ai, bi, den = _over_common_denominator(r)
@@ -290,8 +288,8 @@ def surd_normalize(s: Surd) -> Union[Surd, QuadExt]:
     g = math.gcd(ai, bi)
     sq, _ = square_part(g)
     radicand = QuadExt(Fraction(ai // (sq * sq)), Fraction(bi // (sq * sq)), r.d)
-    scale = s.scale * Fraction(sq, den)
+    multiplier = QuadExt(Fraction(sq, den))
     root = radicand.sqrt_in_field()
     if root is not None:
-        return scale * root
-    return Surd(radicand, scale)
+        return multiplier * root, UNIT_SURD
+    return multiplier, Surd(radicand)

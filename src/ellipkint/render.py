@@ -81,7 +81,8 @@ def _quadext_json(x: QuadExt) -> dict:
 
 
 def _surd_json(s: Surd) -> dict:
-    return {"radicand": _quadext_json(s.radicand), "scale": _fraction_str(s.scale)}
+    # every surd is unit-scale; the field stays so the document keeps its shape
+    return {"radicand": _quadext_json(s.radicand), "scale": "1/1"}
 
 
 def _fraction_from_json(text) -> Fraction:
@@ -99,7 +100,9 @@ def _quadext_from_json(obj: dict) -> QuadExt:
 
 
 def _surd_from_json(obj: dict) -> Surd:
-    return Surd(_quadext_from_json(obj["radicand"]), _fraction_from_json(obj["scale"]))
+    if _fraction_from_json(obj["scale"]) != 1:
+        raise DomainError(f"an exact value's surds have unit scale, got {obj['scale']}")
+    return Surd(_quadext_from_json(obj["radicand"]))
 
 
 def exact_value_from_json(obj: dict) -> ExactValue:

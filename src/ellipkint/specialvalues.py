@@ -57,17 +57,12 @@ CATALOG: dict[str, SpecialPoint] = {
 
 @dataclass(frozen=True)
 class ExactValue:
-    """pi_coeff*pi/pi_surd + alg_coeff/alg_surd, both surds normalized to unit scale."""
+    """pi_coeff*pi/pi_surd + alg_coeff/alg_surd with normalized surds."""
 
     pi_coeff: QuadExt
     pi_surd: Surd
     alg_coeff: QuadExt
     alg_surd: Surd
-
-    def __post_init__(self):
-        # a scale belongs in the coefficient: render prints none
-        if self.pi_surd.scale != 1 or self.alg_surd.scale != 1:
-            raise DomainError("ExactValue surds must have unit scale")
 
     def is_zero(self) -> bool:
         return self.pi_coeff.is_zero() and self.alg_coeff.is_zero()
@@ -83,15 +78,12 @@ class ExactValue:
 
 
 def _normalized_term(raw, radical) -> tuple[QuadExt, Surd]:
-    """Canonicalize raw / sqrt(radical) into (coefficient, unit-scale surd)."""
+    """Canonicalize raw / sqrt(radical) into (coefficient, normalized surd)."""
     raw = QuadExt._coerce(raw)
     if raw.is_zero():
         return _ZERO, UNIT_SURD
-    normalized = surd_normalize(Surd(QuadExt._coerce(radical)))
-    if isinstance(normalized, QuadExt):  # radical was a perfect square
-        return raw / normalized, UNIT_SURD
-    coeff = raw / normalized.scale
-    return coeff, Surd(normalized.radicand)
+    multiplier, surd = surd_normalize(Surd(QuadExt._coerce(radical)))
+    return raw / multiplier, surd
 
 
 def make_exact_value(pi_raw, pi_radical, alg_raw, alg_radical) -> ExactValue:

@@ -169,9 +169,9 @@ def test_criterion_9_property_suites(capsys):
         radicand = ek.QuadExt(F(a), F(b), d)
         if radicand.sign() <= 0:
             continue
-        normalized = ek.surd_normalize(ek.Surd(radicand))
-        if isinstance(normalized, ek.Surd):
-            ok &= ek.surd_normalize(normalized) == normalized
+        multiplier, u = ek.surd_normalize(ek.Surd(radicand))
+        ok &= multiplier * multiplier * u.radicand == radicand
+        ok &= ek.surd_normalize(u) == (ek.QuadExt(1), u)
 
     with capsys.disabled():
         report(9, "randomized property suites (fixed seed)", bool(ok))

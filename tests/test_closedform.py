@@ -71,6 +71,13 @@ def test_deep_order_needs_no_recursion():
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("n", [False, True])
+def test_closed_form_rejects_a_bool_index(n):
+    # False == 0, but a bool index is a slip, not a request for I_0
+    with pytest.raises(DomainError, match="family index n"):
+        closed_form(n)
+
+
 def test_prefactor():
     assert closed_form(0).prefactor == 1
     assert closed_form(1).prefactor == F(-2, 6)

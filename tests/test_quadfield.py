@@ -8,7 +8,7 @@ from mpmath import mpf
 
 from ellipkint import DomainError, QuadExt, Surd, surd_normalize
 from ellipkint.closedform import _horner
-from ellipkint.quadfield import _polyval, square_part
+from ellipkint.quadfield import UNIT_SURD, _polyval, square_part
 
 F = Fraction
 
@@ -86,29 +86,21 @@ def test_sqrt_in_field():
 
 
 def test_surd_normalize_extracts_square_content():
-    out = surd_normalize(Surd(qe(104, 60, 3)))
-    assert isinstance(out, Surd)
-    assert out.radicand == qe(26, 15, 3)
-    assert out.scale == 2
+    assert surd_normalize(Surd(qe(104, 60, 3))) == (qe(2), Surd(qe(26, 15, 3)))
 
 
 def test_surd_normalize_rational_radicand():
-    out = surd_normalize(Surd(qe(F(4, 3))))
-    assert isinstance(out, Surd)
-    assert out.radicand == qe(3)
-    assert out.scale == F(2, 3)
+    assert surd_normalize(Surd(qe(F(4, 3)))) == (qe(F(2, 3)), Surd(qe(3)))
 
 
 def test_surd_normalize_demotes_field_square():
-    out = surd_normalize(Surd(qe(6, 2, 5)))
-    assert out == qe(1, 1, 5)
-    out = surd_normalize(Surd(qe(F(4, 9))))
-    assert out == qe(F(2, 3))
+    assert surd_normalize(Surd(qe(6, 2, 5))) == (qe(1, 1, 5), UNIT_SURD)
+    assert surd_normalize(Surd(qe(F(4, 9)))) == (qe(F(2, 3)), UNIT_SURD)
 
 
 def test_surd_normalize_idempotent():
-    s = surd_normalize(Surd(qe(104, 60, 3)))
-    assert surd_normalize(s) == s
+    _, u = surd_normalize(Surd(qe(104, 60, 3)))
+    assert surd_normalize(u) == (QuadExt(1), u)
 
 
 def test_negative_radicand_rejected():
@@ -148,20 +140,21 @@ def test_division_roundtrip(x, y):
     assert (x / y) * y == x
 
 
-@given(
+radicand_parts = st.one_of(
     st.integers(min_value=-40, max_value=40),
-    st.integers(min_value=-40, max_value=40),
-    st.sampled_from([2, 3, 5, 7]),
+    st.fractions(min_value=-40, max_value=40, max_denominator=30),
 )
+
+
+@given(radicand_parts, radicand_parts, st.sampled_from([2, 3, 5, 7]))
 def test_normalize_idempotent_and_value_preserving(a, b, d):
     radicand = QuadExt(F(a), F(b), d)
     assume(radicand.sign() > 0)
-    out = surd_normalize(Surd(radicand))
+    multiplier, u = surd_normalize(Surd(radicand))
     with mpmath.workdps(30):
         original = mpmath.sqrt(radicand.to_mpf())
-        assert abs(out.to_mpf() - original) < mpf("1e-25")
-    if isinstance(out, Surd):
-        assert surd_normalize(out) == out
+        assert abs(multiplier.to_mpf() * u.to_mpf() - original) < mpf("1e-25")
+    assert surd_normalize(u) == (QuadExt(1), u)
 
 
 coefficient_tuples = st.lists(

@@ -68,6 +68,9 @@ def test_unreachable_tolerance_flagged():
 def test_spec_validation():
     with pytest.raises(DomainError):
         IntegralSpec(-1, 1)
+    # True is an Integral equal to 1, but as an index it is a slip
+    with pytest.raises(DomainError, match="family index n"):
+        IntegralSpec(True, 1)
     with pytest.raises(DomainError):
         IntegralSpec(0, 0)
     with pytest.raises(DomainError):
@@ -185,6 +188,7 @@ def test_precision_rejects_nonpositive_or_nonfinite_tolerance(tol):
         ("max_level", 2.5),
         ("max_level", math.nan),
         ("max_level", 0),
+        ("max_level", True),
     ],
 )
 def test_precision_rejects_a_non_integer_or_small_dps_or_max_level(field, value):

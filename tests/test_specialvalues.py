@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import mpmath
@@ -151,6 +152,25 @@ def test_make_exact_value_normalizes():
     v = make_exact_value(qe(1), qe(104, 60, 3), qe(0), qe(1))
     assert v.pi_surd == Surd(qe(26, 15, 3))
     assert v.pi_coeff == qe(F(1, 2))
+
+
+@pytest.mark.parametrize(
+    "radical",
+    [2**61 - 1, F(1, 2**61 - 1), 4294967311 * 4294967291],
+    ids=["mersenne-61", "one-over-mersenne-61", "product-of-primes-near-2**32"],
+)
+def test_make_exact_value_rejects_radicals_too_large_to_factor(radical):
+    # square content is found by trial division up to the square root, about
+    # 2**30 steps on these; above 2**32 it is a DomainError at once
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="2\\*\\*32"):
+        make_exact_value(1, radical, 0, 1)
+    assert time.perf_counter() - start < 1
+
+
+def test_make_exact_value_factors_the_largest_prime_below_the_bound():
+    v = make_exact_value(1, 4294967291, 0, 1)
+    assert (v.pi_coeff, v.pi_surd) == (qe(1), Surd(qe(4294967291)))
 
 
 def test_make_exact_value_takes_rationals():

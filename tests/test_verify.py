@@ -274,7 +274,9 @@ ORDER_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("order", [0.5, 1.5, F(5, 2), "2"], ids=["0.5", "1.5", "5/2", "str"])
+@pytest.mark.parametrize(
+    "order", [0.5, 1.5, F(5, 2), "2", True], ids=["0.5", "1.5", "5/2", "str", "bool"]
+)
 @pytest.mark.parametrize("entry", sorted(ORDER_ENTRY_POINTS))
 def test_every_order_entry_point_rejects_a_non_integer_order(entry, order):
     with pytest.raises(DomainError, match="nonnegative integer"):
