@@ -19,17 +19,21 @@ from typing import Optional
 import mpmath
 from mpmath import mpf
 
-from .precision import DomainError, to_mpf
+from .precision import DomainError, _is_integer, to_mpf
 
 
 def square_part(n: int) -> tuple[int, int]:
-    """n = s**2 * f with f square-free; returns (s, f).  Requires 0 < n < 2**32."""
-    # the bound keeps the trial division below 2**16 steps
-    if not 0 < n < 2**32:
-        raise DomainError(f"square_part requires an integer in [1, 2**32), got {n}")
+    """n = s**2 * f with f square-free; returns (s, f) for a positive integer n.
+
+    Trial division stops below 2**16, so the cofactor it leaves must be below
+    2**32, where it is 1 or a prime; a larger cofactor is a DomainError.
+    """
+    if n < 1:
+        raise DomainError(f"square_part requires a positive integer, got {n}")
+    original = n
     s, f = 1, 1
     p = 2
-    while p * p <= n:
+    while p * p <= n and p < 2**16:
         if n % p == 0:
             count = 0
             while n % p == 0:
@@ -39,6 +43,8 @@ def square_part(n: int) -> tuple[int, int]:
             if count % 2:
                 f *= p
         p += 1 if p == 2 else 2
+    if n >= 2**32:
+        raise DomainError(f"square_part cannot factor {original}: a cofactor >= 2**32 has no prime below 2**16")
     return s, f * n
 
 
@@ -69,8 +75,7 @@ class QuadExt:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
         d = self.d
-        # square_part's bound, as is_squarefree runs it on d
-        if not isinstance(d, int) or isinstance(d, bool) or not 0 < d < 2**32 or not is_squarefree(d):
+        if not _is_integer(d) or not 0 < d < 2**32 or not is_squarefree(d):
             raise DomainError(f"d must be a square-free integer in [1, 2**32), got {d}")
         if self.d == 1 and self.b != 0:
             # fold sqrt(1) into the rational part

@@ -22,14 +22,19 @@ def test_square_part():
     assert square_part(12) == (2, 3)
     assert square_part(104) == (2, 26)
     assert square_part(49) == (7, 1)
+    assert square_part(2**40 * 3) == (2**20, 3)
+    # a cofactor left by trial division below 2**16 is 1 or a prime below 2**32
+    assert square_part(4294967291 * 2**8) == (2**4, 4294967291)
+    for n in (0, -4, 2**61 - 1, 4294967311 * 4294967291):
+        with pytest.raises(DomainError):
+            square_part(n)
 
 
 def test_d_must_be_squarefree():
     with pytest.raises(DomainError):
         qe(1, 1, 4)
     # d is an int: neither a float (integral or not), a bool nor a Fraction;
-    # and below 2**32, where square_part's trial division would run ~sqrt(d)
-    # steps: 4294967311 is the smallest prime above 2**32
+    # and below 2**32: 4294967311 is the smallest prime above 2**32
     for d in (2.5, 5.0, True, F(5), 2**32, 4294967311, 2**61 - 1):
         with pytest.raises(DomainError):
             qe(1, 1, d)

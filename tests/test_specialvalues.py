@@ -16,6 +16,7 @@ from ellipkint import (
     make_exact_value,
     relation,
 )
+from ellipkint.quadfield import UNIT_SURD
 from ellipkint.specialvalues import in1_pair
 
 F = Fraction
@@ -160,8 +161,8 @@ def test_make_exact_value_normalizes():
     ids=["mersenne-61", "one-over-mersenne-61", "product-of-primes-near-2**32"],
 )
 def test_make_exact_value_rejects_radicals_too_large_to_factor(radical):
-    # square content is found by trial division up to the square root, about
-    # 2**30 steps on these; above 2**32 it is a DomainError at once
+    # square content is found by trial division, which stops below 2**16;
+    # each of these leaves a cofactor above 2**32, so it is a DomainError at once
     start = time.perf_counter()
     with pytest.raises(DomainError, match="2\\*\\*32"):
         make_exact_value(1, radical, 0, 1)
@@ -171,6 +172,14 @@ def test_make_exact_value_rejects_radicals_too_large_to_factor(radical):
 def test_make_exact_value_factors_the_largest_prime_below_the_bound():
     v = make_exact_value(1, 4294967291, 0, 1)
     assert (v.pi_coeff, v.pi_surd) == (qe(1), Surd(qe(4294967291)))
+
+
+def test_make_exact_value_factors_large_radicals_with_small_prime_factors():
+    # the bound is on the cofactor left by trial division, not on the radicand
+    v = make_exact_value(1, 2**40, 0, 1)
+    assert (v.pi_coeff, v.pi_surd) == (qe(F(1, 2**20)), UNIT_SURD)
+    v = make_exact_value(1, F(65537, 65536), 0, 1)
+    assert (v.pi_coeff, v.pi_surd) == (qe(256), Surd(qe(65537)))
 
 
 def test_make_exact_value_takes_rationals():
