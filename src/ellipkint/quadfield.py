@@ -28,8 +28,8 @@ def square_part(n: int) -> tuple[int, int]:
     Trial division stops below 2**16, so the cofactor it leaves must be below
     2**32, where it is 1 or a prime; a larger cofactor is a DomainError.
     """
-    if n < 1:
-        raise DomainError(f"square_part requires a positive integer, got {n}")
+    if n <= 0:
+        raise DomainError("square_part requires a positive integer")
     original = n
     s, f = 1, 1
     p = 2
