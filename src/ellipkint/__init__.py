@@ -6,7 +6,7 @@ and evaluates it over quadratic fields.  The verification module checks the
 two against each other.
 """
 
-from .closedform import ClosedForm, In_exact_real, closed_form, double_factorial_odd
+from .closedform import ClosedForm, In_exact_real, closed_form
 from .elliptic import ellip_k
 from .precision import (
     DEFAULT_PRECISION,
@@ -70,7 +70,6 @@ __all__ = [
     "ClosedForm",
     "closed_form",
     "In_exact_real",
-    "double_factorial_odd",
     "SpecialPoint",
     "CATALOG",
     "ExactValue",

@@ -24,6 +24,7 @@ trusts it.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,14 +33,6 @@ import mpmath
 from mpmath import mpf
 
 from .precision import DEFAULT_PRECISION, Precision, check_index, check_z, to_mpf
-
-
-def double_factorial_odd(n: int) -> int:
-    """(2n+1)!! = 1*3*5*...*(2n+1)."""
-    result = 1
-    for i in range(3, 2 * n + 2, 2):
-        result *= i
-    return result
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,7 @@ class ClosedForm:
     @property
     def prefactor(self) -> Fraction:
         """(-1)**n / (2n+1)!!, the scalar in front of the bracket."""
-        return Fraction((-1) ** self.n, double_factorial_odd(self.n))
+        return Fraction((-1) ** self.n, math.prod(range(1, 2 * self.n + 2, 2)))
 
 
 def _next_form(form: ClosedForm) -> ClosedForm:

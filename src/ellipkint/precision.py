@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import from_rational, round_nearest
 
 
 class DomainError(ValueError):
@@ -87,7 +88,7 @@ def check_z(z) -> mpf:
 
 
 def to_mpf(x) -> mpf:
-    """Convert reals (including Fraction) to mpf at the current precision."""
+    """Convert reals (including Fraction) to mpf at the current precision, rounding once."""
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
+        return mpf(from_rational(x.numerator, x.denominator, mpmath.mp.prec, round_nearest))
     return mpf(x)

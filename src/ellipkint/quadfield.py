@@ -48,10 +48,6 @@ def square_part(n: int) -> tuple[int, int]:
     return s, f * n
 
 
-def is_squarefree(n: int) -> bool:
-    return n >= 1 and square_part(n)[0] == 1
-
-
 def _sqrt_fraction(q: Fraction) -> Optional[Fraction]:
     """Exact square root of a nonnegative rational, or None."""
     if q < 0:
@@ -75,7 +71,7 @@ class QuadExt:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
         d = self.d
-        if not _is_integer(d) or not 0 < d < 2**32 or not is_squarefree(d):
+        if not _is_integer(d) or not 0 < d < 2**32 or square_part(d)[0] != 1:
             raise DomainError(f"d must be a square-free integer in [1, 2**32), got {d}")
         if self.d == 1 and self.b != 0:
             # fold sqrt(1) into the rational part
@@ -224,6 +220,9 @@ class QuadExt:
         return None
 
     def to_mpf(self) -> mpf:
+        if self.a < 0 < self.b or self.b < 0 < self.a:
+            # a and b*sqrt(d) would cancel; the exact norm over the conjugate does not
+            return to_mpf(self.norm()) / (to_mpf(self.a) - to_mpf(self.b) * mpmath.sqrt(self.d))
         value = to_mpf(self.a)
         if self.b:
             value += to_mpf(self.b) * mpmath.sqrt(self.d)

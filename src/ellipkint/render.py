@@ -34,27 +34,28 @@ _STYLES = {
 }
 
 
+def _field_element(a, b, d: int, style: dict) -> str:
+    """a+b*sqrt(d), a alone when b == 0; a unit |b| is not printed."""
+    if b == 0:
+        return str(a)
+    sign = "+" if b > 0 else "-"
+    coefficient = "" if abs(b) == 1 else f"{abs(b)}{style['times']}"
+    return f"{a}{sign}{coefficient}{style['sqrt'].format(d)}"
+
+
 def render_quadext(r: QuadExt, format: str = "text") -> str:
     """a+b*sqrt(d) as text or LaTeX, as printed under a radical or as a point z."""
-    if r.b == 0:
-        return str(r.a)
-    style = _STYLES[format]
-    sign = "+" if r.b > 0 else "-"
-    b = abs(r.b)
-    root = style["sqrt"].format(r.d)
-    return f"{r.a}{sign}{root}" if b == 1 else f"{r.a}{sign}{b}{style['times']}{root}"
+    return _field_element(r.a, r.b, r.d, _STYLES[format])
 
 
 def _term(coeff: QuadExt, surd: Surd, with_pi: bool, format: str) -> tuple[int, str]:
     style = _STYLES[format]
     sign = coeff.sign()
     na, nb, q = _over_common_denominator(abs(coeff))
+    numerator = _field_element(na, nb, coeff.d, style)
+    if nb:
+        numerator = f"({numerator})"
     times = style["times"]
-    if nb == 0:
-        numerator = str(na)
-    else:
-        nb_sign = "+" if nb > 0 else "-"
-        numerator = f"({na}{nb_sign}{abs(nb)}{times}{style['sqrt'].format(coeff.d)})"
     if with_pi:
         numerator = style["pi"] if numerator == "1" else f"{numerator}{times}{style['pi']}"
     parts = [str(q)] if q != 1 else []

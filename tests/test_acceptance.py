@@ -175,3 +175,21 @@ def test_criterion_9_property_suites(capsys):
 
     with capsys.disabled():
         report(9, "randomized property suites (fixed seed)", bool(ok))
+
+
+def test_criterion_10_exact_values_in_floating_point(capsys):
+    # ExactValue.to_mpf at the default precision vs the closed form at 320
+    # digits, relative to the value, at every catalog point for n <= 100
+    worst = mpf(0)
+    for point in ek.CATALOG.values():
+        for n in range(101):
+            value = ek.eval_at_special(n, point).to_mpf(ek.DEFAULT_PRECISION)
+            with mpmath.workdps(330):
+                reference = ek.In_exact_real(n, point.z.to_mpf(), ek.Precision(dps=320))
+                worst = max(worst, abs(value / reference - 1))
+    with capsys.disabled():
+        report(
+            10,
+            f"exact values to mpf at every catalog point, n<=100, worst rel err {mpmath.nstr(worst, 2)}",
+            worst < mpf("1e-35"),
+        )

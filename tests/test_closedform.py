@@ -11,13 +11,14 @@ import pytest
 from mpmath import mpf
 
 import ellipkint
-from ellipkint import DomainError, In_exact_real, Precision, closed_form, double_factorial_odd
+from ellipkint import DomainError, In_exact_real, Precision, closed_form
 
 F = Fraction
 
 
-def test_double_factorial():
-    assert [double_factorial_odd(n) for n in range(5)] == [1, 3, 15, 105, 945]
+def odd_double_factorial(n):
+    # (2n+1)!! = (2n+1)! / (2n)!!, a reference independent of the product in prefactor
+    return math.factorial(2 * n + 1) // (2**n * math.factorial(n))
 
 
 def test_base_case():
@@ -45,7 +46,7 @@ def test_structure_invariants(n):
     assert len(form.B) == n and (n == 0 or form.B[-1] != 0)
     assert all(type(c) is int for c in form.A + form.B)
     # the 2**n under the bracket cancels the (-2)**n of identity (1)
-    assert form.prefactor == Fraction((-2) ** n, double_factorial_odd(n) * 2**n)
+    assert form.prefactor == Fraction((-2) ** n, odd_double_factorial(n) * 2**n)
     assert form.A[-1] == (-1) ** n * 2**n * math.factorial(n)
 
 
@@ -79,9 +80,7 @@ def test_closed_form_rejects_a_bool_index(n):
 
 
 def test_prefactor():
-    assert closed_form(0).prefactor == 1
-    assert closed_form(1).prefactor == F(-2, 6)
-    assert closed_form(3).prefactor == F(-8, 105 * 8)
+    assert [closed_form(n).prefactor for n in range(5)] == [1, F(-1, 3), F(1, 15), F(-1, 105), F(1, 945)]
 
 
 def test_exact_real_published_values():
@@ -124,5 +123,5 @@ def test_recurrence_matches_numerical_derivatives():
             fd = mpmath.diff(
                 lambda u: In_exact_real(0, u, Precision(dps=60)), z, n, h=mpf(10) ** -12
             )
-            expected = mpf((-2) ** n) / double_factorial_odd(n) * fd
+            expected = mpf((-2) ** n) / odd_double_factorial(n) * fd
             assert abs(In_exact_real(n, z, Precision(dps=60)) - expected) < mpf("1e-15")

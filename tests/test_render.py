@@ -58,6 +58,14 @@ def test_quadratic_coefficient():
     assert render(v, "latex") == "(3+2\\sqrt{5})\\pi"
 
 
+def test_field_elements_print_one_way():
+    # a unit coefficient of sqrt(d) is dropped in a coefficient just as in a radicand or a point
+    v = make_exact_value(QuadExt(1, 1, 5), 1, QuadExt(-1, 1, 5) / 2, 1)
+    assert render(v) == "(-1+sqrt(5))/2 + (1+sqrt(5))*pi"
+    assert render(v, "latex") == "\\frac{(-1+\\sqrt{5})}{2}+(1+\\sqrt{5})\\pi"
+    assert exact_value_from_json(json.loads(json.dumps(render(v, "json")))) == v
+
+
 def test_unknown_format():
     v = eval_at_special(0, CATALOG["1"])
     with pytest.raises(DomainError):
