@@ -37,7 +37,6 @@ from .specialvalues import (
 )
 from .verify import (
     CheckReport,
-    SuiteConfig,
     SuiteResult,
     audit_published_tables,
     check_derivative_step,
@@ -79,7 +78,6 @@ __all__ = [
     "render",
     "exact_value_from_json",
     "CheckReport",
-    "SuiteConfig",
     "SuiteResult",
     "check_identity",
     "check_derivative_step",

@@ -21,7 +21,7 @@ from .precision import DomainError, Precision, ToleranceNotReached, check_z
 from .quadrature import IntegralSpec, integral_In_numeric
 from .render import render, render_quadext
 from .specialvalues import CATALOG, eval_at_special, relation
-from .verify import SuiteConfig, run_suite
+from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -167,8 +167,7 @@ def cmd_relation(args) -> int:
 def cmd_verify(args) -> int:
     tol = _tol(args)
     # a tolerance asked for sets both the quadratures' and the checks'
-    config = SuiteConfig() if tol is None else SuiteConfig(tol=tol, precision=_precision(tol))
-    result = run_suite(config)
+    result = run_suite() if tol is None else run_suite(tol, _precision(tol))
     if args.format == "json":
         _emit(args, json.dumps(result.to_json(), indent=2))
     else:

@@ -34,6 +34,13 @@ _STYLES = {
 }
 
 
+def _style(format: str, accepts: tuple = tuple(_STYLES)):
+    """The pieces of `format`, None for json; a format not in `accepts` is a DomainError."""
+    if format not in accepts:
+        raise DomainError(f"unknown format {format!r}; choose from {accepts}")
+    return _STYLES.get(format)
+
+
 def _field_element(a, b, d: int, style: dict) -> str:
     """a+b*sqrt(d), a alone when b == 0; a unit |b| is not printed."""
     if b == 0:
@@ -45,11 +52,10 @@ def _field_element(a, b, d: int, style: dict) -> str:
 
 def render_quadext(r: QuadExt, format: str = "text") -> str:
     """a+b*sqrt(d) as text or LaTeX, as printed under a radical or as a point z."""
-    return _field_element(r.a, r.b, r.d, _STYLES[format])
+    return _field_element(r.a, r.b, r.d, _style(format))
 
 
-def _term(coeff: QuadExt, surd: Surd, with_pi: bool, format: str) -> tuple[int, str]:
-    style = _STYLES[format]
+def _term(coeff: QuadExt, surd: Surd, with_pi: bool, style: dict) -> tuple[int, str]:
     sign = coeff.sign()
     na, nb, q = _over_common_denominator(abs(coeff))
     numerator = _field_element(na, nb, coeff.d, style)
@@ -61,7 +67,7 @@ def _term(coeff: QuadExt, surd: Surd, with_pi: bool, format: str) -> tuple[int, 
     parts = [str(q)] if q != 1 else []
     rad = surd.radicand
     if not (rad.b == 0 and rad.a == 1):
-        parts.append(style["sqrt"].format(render_quadext(rad, format)))
+        parts.append(style["sqrt"].format(_field_element(rad.a, rad.b, rad.d, style)))
     if not parts:
         return sign, numerator
     denominator = times.join(parts)
@@ -126,18 +132,17 @@ def render(v: ExactValue, format: str = "text"):
 
     The json dict is what exact_value_from_json reads back.
     """
-    if format not in FORMATS:
-        raise DomainError(f"unknown format {format!r}; choose from {FORMATS}")
+    style = _style(format, FORMATS)
     if format == "json":
         return {
             "pi": {"coeff": _quadext_json(v.pi_coeff), "surd": _surd_json(v.pi_surd)},
             "alg": {"coeff": _quadext_json(v.alg_coeff), "surd": _surd_json(v.alg_surd)},
         }
     ordered = ((v.alg_coeff, v.alg_surd, False), (v.pi_coeff, v.pi_surd, True))
-    terms = [_term(*term, format) for term in ordered if not term[0].is_zero()]
+    terms = [_term(*term, style) for term in ordered if not term[0].is_zero()]
     if not terms:
         return "0"
     out = ("-" if terms[0][0] < 0 else "") + terms[0][1]
     for sign, body in terms[1:]:
-        out += _STYLES[format]["sep"].format("-" if sign < 0 else "+") + body
+        out += style["sep"].format("-" if sign < 0 else "+") + body
     return out

@@ -85,6 +85,12 @@ def _report(name: str, errors: dict, tol: float, notes: str = "") -> CheckReport
 
 DEFAULT_Z_GRID = (Fraction(1, 10), Fraction(1, 3), Fraction(1), Fraction(3), Fraction(10))
 DEFAULT_STEP = 1e-4
+# the inner integral's (z, t) grid
+INNER_Z_GRID = tuple(Fraction(1, 10) + Fraction(11, 10) * i for i in range(10))
+INNER_T_GRID = tuple(Fraction(1, 20) + Fraction(1, 10) * i for i in range(10))
+# run_suite's derivative ladder: n = 0..LADDER_N_MAX at each z of LADDER_Z_GRID
+LADDER_N_MAX = 4
+LADDER_Z_GRID = (Fraction(1, 3), Fraction(1), Fraction(3))
 
 # A check that compares I_n(z) quadratures comes in two parts: the specs it
 # needs, with every input rule applied, and a comparison that takes their
@@ -196,14 +202,13 @@ def check_order_swap(
 
 
 def check_inner_closed_form(
-    z_grid=None, t_grid=None, tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION
+    z_grid=INNER_Z_GRID,
+    t_grid=INNER_T_GRID,
+    tol: float = 1e-10,
+    prec: Precision = DEFAULT_PRECISION,
 ) -> CheckReport:
     """Inner-integral closed form vs its quadrature on a (z, t) grid."""
     check_tol(tol)
-    if z_grid is None:
-        z_grid = [Fraction(1, 10) + Fraction(11, 10) * i for i in range(10)]
-    if t_grid is None:
-        t_grid = [Fraction(1, 20) + Fraction(1, 10) * i for i in range(10)]
     errors = {}
     with prec.workdps():
         rows = inner_integral_numeric_grid(z_grid, t_grid, prec)
@@ -360,28 +365,6 @@ def check_structure(n_max: int = 12) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    n_max: int = 8
-    z_grid: tuple = DEFAULT_Z_GRID
-    tol: float = 1e-10
-    fd_rel_tol: float = 1e-6
-    fd_n_max: int = 4
-    fd_z_grid: tuple = (Fraction(1, 3), Fraction(1), Fraction(3))
-    relation_max_index: int = 10
-    precision: Precision = DEFAULT_PRECISION
-
-    def __post_init__(self):
-        for name in ("n_max", "fd_n_max", "relation_max_index"):
-            check_index(getattr(self, name), name)
-        check_tol(self.tol)
-        check_tol(self.fd_rel_tol, "fd_rel_tol")
-        if not self.z_grid or not self.fd_z_grid:
-            raise DomainError("need a nonempty z_grid and fd_z_grid")
-        for z in (*self.z_grid, *self.fd_z_grid):
-            check_z(z)
-
-
 @dataclass
 class SuiteResult:
     reports: list[CheckReport] = field(default_factory=list)
@@ -406,26 +389,25 @@ class SuiteResult:
         return [r.to_json() for r in self.reports]
 
 
-def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteResult:
-    """Run every cross-check; deterministic for a fixed config.
+def run_suite(tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION) -> SuiteResult:
+    """Run every cross-check; deterministic for a fixed tol and prec.
 
-    Every input rule runs first.  Then the checks that compare I_n(z)
-    quadratures share one integral_In_numeric_many call over all their specs,
-    which runs each distinct integral once, and each check takes its share of
-    the values in order.  Nothing is kept between runs.
+    Each check runs at its own defaults, and the derivative ladder at
+    n = 0..LADDER_N_MAX over LADDER_Z_GRID.  Every input rule runs first.
+    Then the checks that compare I_n(z) quadratures share one
+    integral_In_numeric_many call over all their specs, which runs each
+    distinct integral once, and each check takes its share of the values in
+    order.  Nothing is kept between runs.
     """
-    tol, prec = config.tol, config.precision
-    # every closed form the suite compares, and never fewer than n <= 12
-    structure_n = max(12, config.n_max, config.fd_n_max + 1, config.relation_max_index)
-    identity = _identity(config.n_max, config.z_grid, tol, prec)
-    swap = _order_swap(config.z_grid, tol, prec)
+    identity = _identity(8, DEFAULT_Z_GRID, tol, prec)
+    swap = _order_swap(DEFAULT_Z_GRID, tol, prec)
     ladder = [
-        _derivative_step(n, z, DEFAULT_STEP, config.fd_rel_tol, prec)
-        for n in range(config.fd_n_max + 1)
-        for z in config.fd_z_grid
+        _derivative_step(n, z, DEFAULT_STEP, 1e-6, prec)
+        for n in range(LADDER_N_MAX + 1)
+        for z in LADDER_Z_GRID
     ]
     audit = _audit(tol, prec)
-    relations = _relations(config.relation_max_index, tol, prec)
+    relations = _relations(10, tol, prec)
     parts = [identity, swap, *ladder, audit, relations]
     results = integral_In_numeric_many([spec for specs, _ in parts for spec in specs], prec)
     values = (result.value for result in results)
@@ -433,7 +415,7 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteResult:
         compare([next(values) for _ in specs]) for specs, compare in parts
     )
     reports = [
-        check_structure(structure_n),
+        check_structure(),
         identity,
         check_inner_closed_form(tol=tol, prec=prec),
         swap,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ellipkint import cli
+from ellipkint import DEFAULT_PRECISION, cli
 from ellipkint.cli import MAX_N, main
 from ellipkint.specialvalues import CATALOG
 from ellipkint.verify import SuiteResult
@@ -153,16 +153,20 @@ def test_env_tolerance(monkeypatch, capsys):
 )
 def test_verify_tolerance_from_env_or_flag(monkeypatch, capsys, env, argv, suite_tol, abs_tol):
     seen = []
-    monkeypatch.setattr(cli, "run_suite", lambda config: seen.append(config) or SuiteResult())
+    def fake_run_suite(tol=1e-10, prec=DEFAULT_PRECISION):
+        seen.append((tol, prec))
+        return SuiteResult()
+
+    monkeypatch.setattr(cli, "run_suite", fake_run_suite)
     if env is None:
         monkeypatch.delenv("ELLIPKINT_TOL", raising=False)
     else:
         monkeypatch.setenv("ELLIPKINT_TOL", env)
     code, _, _ = run(capsys, "verify", *argv)
     assert code == 0
-    (config,) = seen
-    assert config.tol == suite_tol
-    assert config.precision.abs_tol == abs_tol
+    ((tol, prec),) = seen
+    assert tol == suite_tol
+    assert prec.abs_tol == abs_tol
 
 
 def test_env_tolerance_not_a_number(monkeypatch, capsys):

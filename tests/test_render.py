@@ -13,7 +13,7 @@ from ellipkint import (
     exact_value_from_json,
     make_exact_value,
 )
-from ellipkint.render import render
+from ellipkint.render import render, render_quadext
 
 F = Fraction
 
@@ -68,8 +68,16 @@ def test_field_elements_print_one_way():
 
 def test_unknown_format():
     v = eval_at_special(0, CATALOG["1"])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="choose from"):
         render(v, "html")
+
+
+@pytest.mark.parametrize("format", ["html", "json"])
+@pytest.mark.parametrize("r", [QuadExt(3), QuadExt(5, 2, 5)], ids=["rational", "irrational"])
+def test_render_quadext_takes_only_text_or_latex(r, format):
+    # a point z has no JSON form of its own; every other format is refused by name
+    with pytest.raises(DomainError, match="choose from \\('text', 'latex'\\)"):
+        render_quadext(r, format)
 
 
 @pytest.mark.parametrize("label", sorted(CATALOG))

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -13,7 +14,6 @@ from ellipkint import (
     In_exact_real,
     IntegralSpec,
     Precision,
-    SuiteConfig,
     ToleranceNotReached,
     audit_published_tables,
     check_derivative_step,
@@ -30,18 +30,10 @@ from ellipkint.verify import check_structure
 
 F = Fraction
 
-SMALL_CONFIG = SuiteConfig(
-    n_max=1,
-    z_grid=(F(1),),
-    fd_n_max=0,
-    fd_z_grid=(F(1),),
-    relation_max_index=2,
-)
-
 
 @pytest.fixture(scope="module")
-def small_suite():
-    return run_suite(SMALL_CONFIG)
+def suite():
+    return run_suite()
 
 
 def test_identity_single_point():
@@ -125,8 +117,8 @@ def test_relations_miss_reads_inf(monkeypatch):
     assert "worst at n=0, m=2" in report.notes  # the first pair with k = 2
 
 
-def test_reports_are_self_consistent(small_suite):
-    for report in small_suite.reports:
+def test_reports_are_self_consistent(suite):
+    for report in suite.reports:
         assert report.passed == (report.max_abs_error <= report.tolerance)
 
 
@@ -138,8 +130,6 @@ def test_reports_are_self_consistent(small_suite):
         lambda: check_inner_closed_form(t_grid=[]),
         lambda: check_relations(max_index=-1),
         lambda: check_structure(-1),
-        lambda: run_suite(SuiteConfig(fd_n_max=-1)),
-        lambda: run_suite(SuiteConfig(fd_z_grid=())),
     ],
     ids=[
         "order-swap-no-z",
@@ -147,8 +137,6 @@ def test_reports_are_self_consistent(small_suite):
         "inner-no-t",
         "relations-no-index",
         "structure-no-n",
-        "suite-no-ladder-order",
-        "suite-no-ladder-z",
     ],
 )
 def test_check_without_cases_is_an_error(run):
@@ -175,98 +163,32 @@ def test_derivative_step_names_z_as_given():
     assert report.name == "derivative ladder n=0 -> 1 at z=1/3"
 
 
-EXACT = "exact rational/surd comparison"
-
-# (name, max_abs_error, tolerance, passed, cases, notes) for SMALL_CONFIG
-SMALL_SUITE_REPORTS = [
-    ("closed-form structure, n<=12", 0.0, 0.0, True, 13, "exact structural comparison"),
-    (
-        "integral identity, n<=1, 1 z values",
-        1.7670001649475e-34, 1e-10, True, 2,
-        "worst at n=1, z=1",
-    ),
-    (
-        "inner-integral closed form",
-        1.2032055171124437e-22, 1e-10, True, 100,
-        "worst at z=67/10, t=3/4",
-    ),
-    ("order-swap identity for I_0", 3.440696084509082e-21, 1e-10, True, 1, ""),
-    ("derivative ladder n=0 -> 1 at z=1", 1.7057041595332073e-17, 1e-06, True, 1, ""),
-    *[
-        (f"table audit {label}", 0.0, 0.0, True, 1, EXACT)
-        for label in ("I_0(1)", "I_1(1)", "I_2(1)", "I_3(1)", "I_0(3)", "I_1(3)")
-    ],
-    (
-        "table audit I_2(3) (expected MISMATCH)",
-        4.778758163011872e-40, 1e-10, True, 1,
-        "printed: 1/180 + 11*pi/(2880*sqrt(2)) | computed: 1/180 + 11*pi/(2880*sqrt(3))"
-        " | quadrature deviates from printed by 1.557e-03",
-    ),
-    *[
-        (f"table audit {label}", 0.0, 0.0, True, 1, EXACT)
-        for label in ("I_0(1/3)", "I_1(1/3)", "I_2(1/3)", "I_0(5+2sqrt5)", "I_0(7+4sqrt3)")
-    ],
-    (
-        "pairwise rational relations at z=1",
-        4.6508178178189846e-33, 1e-10, True, 9,
-        "exact rational check per pair; a miss reads as inf; worst at n=0, m=2",
-    ),
-]
-
-
-def test_small_suite_numbers_pinned(small_suite):
-    got = [
-        (r.name, r.max_abs_error, r.tolerance, r.passed, r.cases, r.notes)
-        for r in small_suite.reports
-    ]
-    assert got == SMALL_SUITE_REPORTS
-
-
 # sha256 of `ellipkint verify --format json` (the default suite, indent=2),
 # as computed before the quadratures were batched over shared nodes
 DEFAULT_SUITE_SHA256 = "3998dd23f71d1c4e6e579c1f180b5c891ff98dfa76ec0e1afa0a89bde5209dac"
 
 
-def test_default_suite_output_pinned():
-    text = json.dumps(run_suite().to_json(), indent=2)
+def test_default_suite_output_pinned(suite):
+    text = json.dumps(suite.to_json(), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SUITE_SHA256
 
 
-@pytest.mark.parametrize(
-    "overrides,structure_n",
-    [({"n_max": 14}, 14), ({"fd_n_max": 13}, 14), ({"relation_max_index": 15}, 15)],
-    ids=["n_max", "fd_n_max", "relation_max_index"],
-)
-def test_structure_covers_every_compared_closed_form(overrides, structure_n):
-    config = dataclasses.replace(SMALL_CONFIG, **overrides)
-    report = run_suite(config).reports[0]
-    assert report.name == f"closed-form structure, n<={structure_n}"
-    assert report.cases == structure_n + 1
-    assert report.passed
+def test_structure_covers_every_compared_closed_form():
+    def default(check, name):
+        return inspect.signature(check).parameters[name].default
 
-
-def test_suite_rejects_invalid_config():
-    with pytest.raises(DomainError):
-        run_suite(SuiteConfig(z_grid=(F(1), F(-1))))
-    # every field is checked on construction, before run_suite does any work
-    for bad in (
-        {"relation_max_index": -1},
-        {"n_max": -1},
-        {"fd_n_max": -1},
-        {"z_grid": ()},
-        {"fd_z_grid": ()},
-        {"fd_z_grid": (F(0),)},
-    ):
-        with pytest.raises(DomainError):
-            SuiteConfig(**bad)
+    compared = max(
+        default(check_identity, "n_max"),
+        verify.LADDER_N_MAX + 1,  # the ladder's I_{n+1}
+        default(check_relations, "max_index"),
+        *(n for _, n, *_ in verify._published_tables()),
+    )
+    assert default(check_structure, "n_max") >= compared
 
 
 # every public entry that takes an order up to which the family index runs,
 # each handed one order that is not a nonnegative integer
 ORDER_ENTRY_POINTS = {
-    "SuiteConfig.n_max": lambda order: SuiteConfig(n_max=order),
-    "SuiteConfig.fd_n_max": lambda order: SuiteConfig(fd_n_max=order),
-    "SuiteConfig.relation_max_index": lambda order: SuiteConfig(relation_max_index=order),
     "check_identity": lambda order: check_identity(n_max=order, z_grid=(F(1),)),
     "check_derivative_step": lambda order: check_derivative_step(order, 1),
     "check_relations": lambda order: check_relations(max_index=order),
@@ -283,24 +205,15 @@ def test_every_order_entry_point_rejects_a_non_integer_order(entry, order):
         ORDER_ENTRY_POINTS[entry](order)
 
 
-def test_suite_small_config_deterministic():
-    first = run_suite(SMALL_CONFIG)
-    second = run_suite(SMALL_CONFIG)
-    assert first.all_passed
-    assert first.exit_status == 0
-    assert [r.to_json() for r in first.reports] == [r.to_json() for r in second.reports]
+def test_suite_deterministic(suite):
+    again = run_suite()
+    assert suite.all_passed
+    assert suite.exit_status == 0
+    assert [r.to_json() for r in suite.reports] == [r.to_json() for r in again.reports]
 
 
 def test_loose_tolerance_trivially_green():
-    config = SuiteConfig(
-        n_max=1,
-        z_grid=(F(1),),
-        tol=1e-2,
-        fd_n_max=0,
-        fd_z_grid=(F(1),),
-        relation_max_index=1,
-    )
-    assert run_suite(config).all_passed
+    assert run_suite(tol=1e-2).all_passed
 
 
 # every public entry that takes the shift parameter z, each handed one bad z
@@ -310,9 +223,6 @@ Z_ENTRY_POINTS = {
     "I0_via_swap": I0_via_swap,
     "inner_integral_closed": lambda z: inner_integral_closed(z, 0.5),
     "inner_integral_numeric_grid": lambda z: inner_integral_numeric_grid([1, z], [0.5]),
-    # an inf in z_grid used to pass the whole suite: its nan error was never the worst
-    "SuiteConfig.z_grid": lambda z: SuiteConfig(n_max=0, z_grid=(1, z)),
-    "SuiteConfig.fd_z_grid": lambda z: SuiteConfig(fd_z_grid=(1, z)),
     "check_identity": lambda z: check_identity(n_max=0, z_grid=(1, z)),
     "check_order_swap": lambda z: check_order_swap(z_grid=(1, z)),
     "check_derivative_step": lambda z: check_derivative_step(0, z),
@@ -331,8 +241,7 @@ def test_every_z_entry_point_rejects_z_outside_the_domain(entry, z):
 # every public entry that takes a check tolerance, each handed one bad
 # tolerance; Precision.abs_tol, under the same rule, has its own test
 TOL_ENTRY_POINTS = {
-    "SuiteConfig.tol": lambda tol: SuiteConfig(tol=tol),
-    "SuiteConfig.fd_rel_tol": lambda tol: SuiteConfig(fd_rel_tol=tol),
+    "run_suite": lambda tol: run_suite(tol=tol),
     "check_identity": lambda tol: check_identity(0, (1,), tol=tol),
     "check_derivative_step": lambda tol: check_derivative_step(0, 1, rel_tol=tol),
     "check_order_swap": lambda tol: check_order_swap((1,), tol=tol),
@@ -358,10 +267,7 @@ def test_every_tolerance_entry_point_rejects_a_tolerance_outside_0_inf(monkeypat
         TOL_ENTRY_POINTS[entry](tol)
 
 
-@pytest.mark.parametrize(
-    "config,specs", [(SuiteConfig(), 107), (SMALL_CONFIG, 8)], ids=["default", "small"]
-)
-def test_suite_makes_one_quadrature_pass_over_its_distinct_specs(monkeypatch, config, specs):
+def test_suite_makes_one_quadrature_pass_over_its_distinct_specs(monkeypatch):
     # the default suite compares 137 specs; the grid's Fraction(1, 3) and the
     # ladder's mpf 1/3 are one of the 107 distinct ones.  Counted are the
     # _refine passes of I_n(z) quadratures, not those of the inner grid or the
@@ -375,33 +281,28 @@ def test_suite_makes_one_quadrature_pass_over_its_distinct_specs(monkeypatch, co
         return real(samples, count, prec)
 
     monkeypatch.setattr(quadrature, "_refine", counting)
-    assert run_suite(config).all_passed
-    assert members == [specs]
+    assert run_suite().all_passed
+    assert members == [107]
 
 
-def test_each_check_alone_matches_its_report_in_the_suite(small_suite):
-    c = SMALL_CONFIG
+def test_each_check_alone_matches_its_report_in_the_suite(suite):
     alone = [
-        check_structure(12),
-        check_identity(c.n_max, c.z_grid, c.tol, c.precision),
-        check_inner_closed_form(tol=c.tol, prec=c.precision),
-        check_order_swap(c.z_grid, c.tol, c.precision),
+        check_structure(),
+        check_identity(),
+        check_inner_closed_form(),
+        check_order_swap(),
         *[
-            check_derivative_step(n, z, rel_tol=c.fd_rel_tol, prec=c.precision)
-            for n in range(c.fd_n_max + 1)
-            for z in c.fd_z_grid
+            check_derivative_step(n, z)
+            for n in range(verify.LADDER_N_MAX + 1)
+            for z in verify.LADDER_Z_GRID
         ],
-        *audit_published_tables(c.tol, c.precision),
-        check_relations(c.relation_max_index, c.tol, c.precision),
+        *audit_published_tables(),
+        check_relations(),
     ]
-    assert alone == small_suite.reports
+    assert alone == suite.reports
 
 
-@pytest.mark.parametrize(
-    "prec",
-    [Precision(abs_tol=1e-60), Precision(abs_tol=1e-30, max_level=1)],
-    ids=["below-one-ulp", "levels-run-out"],
-)
-def test_suite_raises_when_a_quadrature_cannot_converge(prec):
+def test_suite_raises_when_a_quadrature_cannot_converge():
+    # the batch's below-one-ulp stop has its own test in test_quadrature.py
     with pytest.raises(ToleranceNotReached):
-        run_suite(dataclasses.replace(SMALL_CONFIG, precision=prec))
+        run_suite(prec=Precision(abs_tol=1e-30, max_level=1))
