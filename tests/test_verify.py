@@ -9,6 +9,7 @@ import mpmath
 import pytest
 
 from ellipkint import (
+    CATALOG,
     DomainError,
     I0_via_swap,
     In_exact_real,
@@ -21,8 +22,11 @@ from ellipkint import (
     check_inner_closed_form,
     check_identity,
     check_relations,
+    closed_form,
+    eval_at_special,
     inner_integral_closed,
     inner_integral_numeric_grid,
+    relation,
     run_suite,
 )
 from ellipkint import quadrature, verify
@@ -125,6 +129,7 @@ def test_reports_are_self_consistent(suite):
 @pytest.mark.parametrize(
     "run",
     [
+        lambda: check_identity(z_grid=()),
         lambda: check_order_swap(z_grid=()),
         lambda: check_inner_closed_form(z_grid=[]),
         lambda: check_inner_closed_form(t_grid=[]),
@@ -132,6 +137,7 @@ def test_reports_are_self_consistent(suite):
         lambda: check_structure(-1),
     ],
     ids=[
+        "identity-no-z",
         "order-swap-no-z",
         "inner-no-z",
         "inner-no-t",
@@ -196,13 +202,35 @@ ORDER_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "order", [0.5, 1.5, F(5, 2), "2", True], ids=["0.5", "1.5", "5/2", "str", "bool"]
+NOT_AN_INDEX = pytest.mark.parametrize(
+    "value", [0.5, 1.5, F(5, 2), "2", True], ids=["0.5", "1.5", "5/2", "str", "bool"]
 )
+
+
+@NOT_AN_INDEX
 @pytest.mark.parametrize("entry", sorted(ORDER_ENTRY_POINTS))
-def test_every_order_entry_point_rejects_a_non_integer_order(entry, order):
+def test_every_order_entry_point_rejects_a_non_integer_order(entry, value):
     with pytest.raises(DomainError, match="nonnegative integer"):
-        ORDER_ENTRY_POINTS[entry](order)
+        ORDER_ENTRY_POINTS[entry](value)
+
+
+# every public entry that takes the family index n itself, each handed one
+# index that is not a nonnegative integer
+INDEX_ENTRY_POINTS = {
+    "IntegralSpec": lambda n: IntegralSpec(n, 1),
+    "closed_form": closed_form,
+    "In_exact_real": lambda n: In_exact_real(n, 1),
+    "eval_at_special": lambda n: eval_at_special(n, CATALOG["1"]),
+    "relation.n": lambda n: relation(n, 1),
+    "relation.m": lambda m: relation(0, m),
+}
+
+
+@NOT_AN_INDEX
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+def test_every_index_entry_point_rejects_a_non_integer_index(entry, value):
+    with pytest.raises(DomainError, match="family index n must be a nonnegative integer"):
+        INDEX_ENTRY_POINTS[entry](value)
 
 
 def test_suite_deterministic(suite):
@@ -226,6 +254,7 @@ Z_ENTRY_POINTS = {
     "check_identity": lambda z: check_identity(n_max=0, z_grid=(1, z)),
     "check_order_swap": lambda z: check_order_swap(z_grid=(1, z)),
     "check_derivative_step": lambda z: check_derivative_step(0, z),
+    "check_inner_closed_form": lambda z: check_inner_closed_form(z_grid=(1, z)),
 }
 
 
