@@ -2,8 +2,8 @@
 
 The suite checks the integral identity over an (n, z) grid, the
 order-of-integration swap, the inner-integral closed form, the derivative
-ladder by finite differences, the published tables, and the pairwise
-rational relations.  One published entry (I_2(3)) is expected to disagree:
+ladder by finite differences, the published tables, the exact values in
+floating point, and the pairwise rational relations.  One published entry (I_2(3)) is expected to disagree:
 its printed surd is sqrt(2) where both independent routes give sqrt(3).
 """
 

@@ -28,12 +28,18 @@ class ToleranceNotReached(RuntimeError):
         self.result = result
 
 
+# no quadrature stops, converged, before this tanh-sinh level: its error
+# estimate needs two level differences, and two can agree by chance
+MIN_STOP_LEVEL = 3
+
+
 @dataclass(frozen=True)
 class Precision:
     """Numeric working parameters.
 
     abs_tol    target absolute error for quadrature
-    max_level  tanh-sinh refinement levels (step halves per level)
+    max_level  tanh-sinh refinement levels (step halves per level), at least
+               MIN_STOP_LEVEL
     dps        significant decimal digits carried by the float type
     """
 
@@ -43,8 +49,10 @@ class Precision:
 
     def __post_init__(self):
         check_tol(self.abs_tol, "abs_tol")
-        if not _is_integer(self.max_level) or self.max_level < 1:
-            raise DomainError(f"max_level must be an integer >= 1, got {self.max_level}")
+        if not _is_integer(self.max_level) or self.max_level < MIN_STOP_LEVEL:
+            raise DomainError(
+                f"max_level must be an integer >= {MIN_STOP_LEVEL}, got {self.max_level}"
+            )
         if not _is_integer(self.dps) or self.dps < 15:
             raise DomainError(f"dps must be an integer >= 15, got {self.dps}")
 

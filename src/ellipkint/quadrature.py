@@ -27,6 +27,7 @@ from mpmath.libmp import (
 from .elliptic import ellip_k
 from .precision import (
     DEFAULT_PRECISION,
+    MIN_STOP_LEVEL,
     DomainError,
     Precision,
     ToleranceNotReached,
@@ -38,6 +39,17 @@ from .precision import (
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """One tanh-sinh quadrature: its value and how it was obtained.
+
+    error_estimate  d_L²/d_(L−1) at the level L it stopped on, d_L being the
+                    difference of the level sums S_L and S_(L−1) (d_L at
+                    level 1 or when d_(L−1) is 0); inf if it stopped at level 0
+    levels_used     the level it stopped on; a converged result has at
+                    least MIN_STOP_LEVEL (3)
+    evaluations     integrand evaluations made
+    converged       error_estimate <= abs_tol was met
+    """
+
     value: mpf
     error_estimate: mpf
     levels_used: int
@@ -122,16 +134,23 @@ def _refine(samples, members: int, prec: Precision) -> list[QuadratureResult]:
     live[j].  Sums stay raw tuples, added by mpf_add at the working precision
     rounding to nearest, which is what mpf.__add__ calls, so they are the
     operator sums bit for bit without an mpf object per term.  A member's
-    estimate at level L is the sum of its terms so far over 2^(L+1), the
-    weights being those of (-1, 1); each member stops on its own, as
-    tanh_sinh_integrate says, and then leaves `live`.  A member whose
-    tolerance is below one ulp of its sum at the working precision can never
-    meet it, so it stops at once, unconverged.
+    value at level L is the sum of its terms so far over 2^(L+1), the
+    weights being those of (-1, 1).
+
+    Tanh-sinh about doubles its correct digits per level, so with
+    d_L = |S_L − S_(L−1)| the error of S_L is estimated as d_L²/d_(L−1), or
+    as d_L at level 1 or when d_(L−1) is 0.  A member stops, converged, at
+    the first level L >= MIN_STOP_LEVEL whose estimate is at most abs_tol,
+    and then leaves `live`.  Below that level the estimate is not trusted: a
+    sum can land close to the next by chance and make d_L²/d_(L−1) read
+    small.  A member whose tolerance is below one ulp of its sum at the
+    working precision can never meet it, so it stops at once, unconverged.
     """
     tol = to_mpf(prec.abs_tol)
     wp = mpmath.mp.prec
     raw = [fzero] * members
     value = [mpf(0)] * members
+    last_d = [None] * members  # d_(L−1), None before level 1
     estimate = [mpf("inf")] * members
     results = [None] * members
     live = list(range(members))
@@ -148,8 +167,10 @@ def _refine(samples, members: int, prec: Precision) -> list[QuadratureResult]:
         for i in live:
             current = mpmath.mp.make_mpf(raw[i]) / 2 ** (level + 1)
             if level > 0:
-                estimate[i] = abs(current - value[i])
-                if estimate[i] <= tol:
+                d = abs(current - value[i])
+                estimate[i] = d * d / last_d[i] if last_d[i] else d
+                last_d[i] = d
+                if level >= MIN_STOP_LEVEL and estimate[i] <= tol:
                     results[i] = QuadratureResult(current, estimate[i], level, evaluations)
             if results[i] is None and tol < mpmath.ldexp(abs(current), -mpmath.mp.prec):
                 results[i] = QuadratureResult(
@@ -167,10 +188,12 @@ def _refine(samples, members: int, prec: Precision) -> list[QuadratureResult]:
 def tanh_sinh_integrate(f, prec: Precision = DEFAULT_PRECISION) -> QuadratureResult:
     """Integrate f over the open interval (0, 1).
 
-    f is never called at 0 or 1.  Refines level by level until two successive
-    level sums differ by at most prec.abs_tol; if the level budget runs out,
-    or prec.abs_tol is below one ulp of the sum, the best value is returned
-    with converged=False.  f must be real: a complex value raises DomainError.
+    f is never called at 0 or 1.  Refines level by level and stops at the
+    first level from MIN_STOP_LEVEL (3) on whose error estimate, d_L²/d_(L−1)
+    over the differences d_L of successive level sums, is at most
+    prec.abs_tol (see _refine).  If the level budget runs out, or
+    prec.abs_tol is below one ulp of the sum, the best value is returned with
+    converged=False.  f must be real: a complex value raises DomainError.
     """
     with prec.workdps():
 

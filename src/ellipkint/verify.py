@@ -3,8 +3,9 @@
 Everything here compares independent computations: quadrature of the
 integral against the closed-form recurrence, the order-swapped iterated
 integral against the direct one, the inner-integral closed form against its
-quadrature, the derivative ladder against finite differences, and the exact
-engine against the hard-coded published value tables.
+quadrature, the derivative ladder against finite differences, the exact
+engine against the hard-coded published value tables, and the exact values
+in floating point against the closed form's floating evaluation.
 """
 
 from __future__ import annotations
@@ -218,6 +219,26 @@ def check_inner_closed_form(
     return _report("inner-integral closed form", errors, tol)
 
 
+EXACT_N_GRID = (0, 1, 5, 20, 40)
+
+
+def check_exact_to_float() -> CheckReport:
+    """ExactValue.to_mpf against In_exact_real, relative, at every CATALOG point.
+
+    Runs for n in EXACT_N_GRID at DEFAULT_PRECISION, with tolerance 1e-35.
+    At the irrational points an exact value's a and b·√d grow large with
+    opposite signs, so a conversion that lets them cancel fails here.
+    """
+    errors = {}
+    with DEFAULT_PRECISION.workdps():
+        for label, point in CATALOG.items():
+            z = point.z.to_mpf()
+            for n in EXACT_N_GRID:
+                exact = eval_at_special(n, point).to_mpf(DEFAULT_PRECISION)
+                errors[f"n={n}, z={label}"] = abs(exact / In_exact_real(n, z) - 1)
+    return _report("exact values to floating point, relative", errors, 1e-35)
+
+
 # -- published value tables, stored as exact data ---------------------------
 
 def _published_tables() -> list[tuple[str, int, str, ExactValue, bool]]:
@@ -421,6 +442,7 @@ def run_suite(tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION) -> SuiteR
         swap,
         *ladder,
         *audit,
+        check_exact_to_float(),
         relations,
     ]
     return SuiteResult(reports)

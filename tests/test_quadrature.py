@@ -20,7 +20,7 @@ from ellipkint import (
     tanh_sinh_integrate,
 )
 from ellipkint import quadrature
-from ellipkint.precision import to_mpf
+from ellipkint.precision import MIN_STOP_LEVEL, to_mpf
 
 PREC = Precision()
 
@@ -128,9 +128,10 @@ def test_monotonic_in_n_for_z_at_least_one():
 
 
 def test_inner_integral_t_zero_elementary():
-    with mpmath.workdps(PREC.working_dps):
+    tight = Precision(abs_tol=1e-22)
+    with mpmath.workdps(tight.working_dps):
         for z in (Fraction(1, 2), Fraction(2), Fraction(9)):
-            got = inner_integral_numeric_grid([z], [0], PREC)[0][0]
+            got = inner_integral_numeric_grid([z], [0], tight)[0][0]
             zf = mpf(z.numerator) / z.denominator
             assert abs(got - (1 / mpmath.sqrt(zf) - 1 / mpmath.sqrt(1 + zf))) < 1e-20
 
@@ -188,6 +189,8 @@ def test_precision_rejects_nonpositive_or_nonfinite_tolerance(tol):
         ("max_level", 2.5),
         ("max_level", math.nan),
         ("max_level", 0),
+        ("max_level", 1),
+        ("max_level", 2),
         ("max_level", True),
     ],
 )
@@ -313,7 +316,7 @@ def test_batch_runs_each_distinct_integral_once(monkeypatch):
 
 
 def test_batch_names_the_member_that_did_not_converge():
-    # with abs_tol=1e-20, I_0(3) stops at level 4, I_2(1) at 5, I_16(1/10) needs 6
+    # with abs_tol=1e-20, I_0(3) and I_2(1) stop at level 4, I_16(1/10) needs 6
     prec = Precision(abs_tol=1e-20, max_level=5)
     specs = [IntegralSpec(0, 3), IntegralSpec(16, Fraction(1, 10)), IntegralSpec(2, 1)]
     with pytest.raises(ToleranceNotReached, match=r"I_16\(1/10\)") as caught:
@@ -412,3 +415,55 @@ def test_inner_grid_matches_pointwise_and_unfactored_integrand():
 def test_inner_grid_rejects_points_outside_the_domain(z, t):
     with pytest.raises(DomainError):
         inner_integral_numeric_grid([Fraction(1, 2), z], [Fraction(1, 4), t], PREC)
+
+
+# -- the stop rule: e_L = d_L²/d_(L−1) <= abs_tol, never before MIN_STOP_LEVEL --
+
+IDENTITY_GRID = [
+    IntegralSpec(n, z)
+    for n in range(9)
+    for z in (Fraction(1, 10), Fraction(1, 3), 1, 3, 10)
+]
+FAR_FIELD_GRID = [IntegralSpec(n, z) for n in (0, 8, 20, 40) for z in (10, 10**4, 10**6, 10**8)]
+# the specs that stopped at level 1 under the older rule |S_L − S_(L−1)| <= abs_tol,
+# wrong by 1e-3 to 2e-6 relative while reporting convergence
+FAR_FIELD_SPECS = [(12, 10), (16, 10), (8, 10**6), (20, 10**4), (0, 10**8), (40, 10**8)]
+
+
+def test_every_converged_result_stopped_at_level_three_or_later():
+    results = integral_In_numeric_many(IDENTITY_GRID + FAR_FIELD_GRID, PREC)
+    results.append(tanh_sinh_integrate(lambda x: mpf(1), PREC))  # every d_L is 0
+    results.append(tanh_sinh_integrate(lambda x: x, PREC))
+    assert MIN_STOP_LEVEL == 3
+    assert all(r.converged and r.levels_used >= MIN_STOP_LEVEL for r in results)
+
+
+@pytest.mark.parametrize("dps,tol", [(40, 1e-12), (60, 1e-30)])
+def test_true_error_within_abs_tol_on_identity_and_far_field_grids(dps, tol):
+    prec = Precision(abs_tol=tol, dps=dps)
+    reference = Precision(dps=dps + 50)
+    specs = IDENTITY_GRID + FAR_FIELD_GRID
+    results = integral_In_numeric_many(specs, prec)
+    with reference.workdps():
+        for spec, result in zip(specs, results):
+            error = abs(result.value - In_exact_real(spec.n, spec.z, reference))
+            assert error <= tol, (spec, error)
+
+
+def test_a_level_sum_landing_close_by_chance_does_not_stop_the_quadrature():
+    # d_2²/d_1 read 1.2e-13 for I_0(4/7) at level 2 while its error was 4.9e-8
+    result = integral_In_numeric(IntegralSpec(0, Fraction(4, 7)), PREC)
+    reference = Precision(dps=90)
+    with reference.workdps():
+        error = abs(result.value - In_exact_real(0, Fraction(4, 7), reference))
+    assert result.levels_used >= MIN_STOP_LEVEL
+    assert error <= PREC.abs_tol
+
+
+@pytest.mark.parametrize("n,z", FAR_FIELD_SPECS)
+def test_far_field_specs_right_relative_to_their_value(n, z):
+    result = integral_In_numeric(IntegralSpec(n, z), PREC)
+    reference = Precision(dps=90)
+    with reference.workdps():
+        exact = In_exact_real(n, z, reference)
+        assert abs(result.value / exact - 1) <= mpf("1e-15")

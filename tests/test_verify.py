@@ -15,6 +15,7 @@ from ellipkint import (
     In_exact_real,
     IntegralSpec,
     Precision,
+    QuadExt,
     ToleranceNotReached,
     audit_published_tables,
     check_derivative_step,
@@ -30,7 +31,8 @@ from ellipkint import (
     run_suite,
 )
 from ellipkint import quadrature, verify
-from ellipkint.verify import check_structure
+from ellipkint.precision import to_mpf
+from ellipkint.verify import check_exact_to_float, check_structure
 
 F = Fraction
 
@@ -164,14 +166,32 @@ def test_structure_failure_reports_inf(monkeypatch):
     assert "worst at n=0" in report.notes
 
 
+def test_exact_to_float_covers_every_catalog_point(suite):
+    report = check_exact_to_float()
+    assert report.passed and report.cases == len(CATALOG) * len(verify.EXACT_N_GRID)
+    assert report.tolerance == 1e-35
+    assert report in suite.reports
+
+
+def test_exact_to_float_fails_when_a_and_b_sqrt_d_cancel(monkeypatch):
+    def cancelling(self):
+        return to_mpf(self.a) + to_mpf(self.b) * mpmath.sqrt(self.d)
+
+    monkeypatch.setattr(QuadExt, "to_mpf", cancelling)
+    report = check_exact_to_float()
+    assert not report.passed
+    assert "z=cot2-pi-1" in report.notes  # an irrational point is the worst
+
+
 def test_derivative_step_names_z_as_given():
     report = check_derivative_step(0, F(1, 3))
     assert report.name == "derivative ladder n=0 -> 1 at z=1/3"
 
 
 # sha256 of `ellipkint verify --format json` (the default suite, indent=2),
-# as computed before the quadratures were batched over shared nodes
-DEFAULT_SUITE_SHA256 = "3998dd23f71d1c4e6e579c1f180b5c891ff98dfa76ec0e1afa0a89bde5209dac"
+# as computed once quadratures stopped on d_L²/d_(L−1) from level 3 on and
+# the suite gained the exact-to-float check
+DEFAULT_SUITE_SHA256 = "3a1db934339e20e3d60ad48d1c375ef54f56996e477898f071c6eb46ee504e3e"
 
 
 def test_default_suite_output_pinned(suite):
@@ -326,6 +346,7 @@ def test_each_check_alone_matches_its_report_in_the_suite(suite):
             for z in verify.LADDER_Z_GRID
         ],
         *audit_published_tables(),
+        check_exact_to_float(),
         check_relations(),
     ]
     assert alone == suite.reports
@@ -334,4 +355,4 @@ def test_each_check_alone_matches_its_report_in_the_suite(suite):
 def test_suite_raises_when_a_quadrature_cannot_converge():
     # the batch's below-one-ulp stop has its own test in test_quadrature.py
     with pytest.raises(ToleranceNotReached):
-        run_suite(prec=Precision(abs_tol=1e-30, max_level=1))
+        run_suite(prec=Precision(abs_tol=1e-30, max_level=3))
