@@ -166,11 +166,10 @@ def test_structure_failure_reports_inf(monkeypatch):
     assert "worst at n=0" in report.notes
 
 
-def test_exact_to_float_covers_every_catalog_point(suite):
+def test_exact_to_float_covers_every_catalog_point():
     report = check_exact_to_float()
     assert report.passed and report.cases == len(CATALOG) * len(verify.EXACT_N_GRID)
     assert report.tolerance == 1e-35
-    assert report in suite.reports
 
 
 def test_exact_to_float_fails_when_a_and_b_sqrt_d_cancel(monkeypatch):
