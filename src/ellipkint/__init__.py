@@ -38,12 +38,7 @@ from .specialvalues import (
 from .verify import (
     CheckReport,
     SuiteResult,
-    audit_published_tables,
-    check_derivative_step,
-    check_order_swap,
     check_inner_closed_form,
-    check_identity,
-    check_relations,
     run_suite,
 )
 
@@ -79,11 +74,6 @@ __all__ = [
     "exact_value_from_json",
     "CheckReport",
     "SuiteResult",
-    "check_identity",
-    "check_derivative_step",
-    "check_order_swap",
     "check_inner_closed_form",
-    "check_relations",
-    "audit_published_tables",
     "run_suite",
 ]

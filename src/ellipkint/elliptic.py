@@ -9,17 +9,18 @@ from __future__ import annotations
 import mpmath
 from mpmath import mpf
 
-from .precision import DEFAULT_PRECISION, DomainError, Precision, to_mpf
+from .precision import DEFAULT_PRECISION, DomainError, Precision, is_real, to_mpf
 
 
 def ellip_k(k, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """K(k) = pi / (2 * agm(1, sqrt(1-k^2))) for 0 <= k < 1.
 
-    k = 1 is a hard domain error: K diverges logarithmically there.
+    k = 1 is a hard domain error: K diverges logarithmically there, and so
+    is a k that is not a real number.
     """
     with prec.workdps():
-        k = to_mpf(k)
-        if not 0 <= k < 1:  # also rejects nan, for which every comparison is false
+        # the negated test also rejects nan, for which every comparison is false
+        if not is_real(k) or not 0 <= (k := to_mpf(k)) < 1:
             raise DomainError(f"modulus must satisfy 0 <= k < 1, got {k}")
         # (1-k)(1+k) avoids cancellation when k is close to 1
         kp = mpmath.sqrt((1 - k) * (1 + k))

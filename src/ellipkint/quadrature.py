@@ -27,14 +27,20 @@ from mpmath.libmp import (
 from .elliptic import ellip_k
 from .precision import (
     DEFAULT_PRECISION,
-    MIN_STOP_LEVEL,
     DomainError,
     Precision,
     ToleranceNotReached,
     check_index,
     check_z,
+    is_real,
     to_mpf,
 )
+
+# tanh-sinh refinement levels run 0..MAX_LEVEL, the step halving per level;
+# no quadrature stops, converged, before MIN_STOP_LEVEL: its error estimate
+# needs two level differences, and two can agree by chance
+MAX_LEVEL = 12
+MIN_STOP_LEVEL = 3
 
 
 @dataclass(frozen=True)
@@ -155,7 +161,7 @@ def _refine(samples, members: int, prec: Precision) -> list[QuadratureResult]:
     results = [None] * members
     live = list(range(members))
     evaluations = 0  # every live member sees every node
-    for level in range(prec.max_level + 1):
+    for level in range(MAX_LEVEL + 1):
         if not live:
             break
         for x, terms in samples(level, live):
@@ -180,7 +186,7 @@ def _refine(samples, members: int, prec: Precision) -> list[QuadratureResult]:
         live = [i for i in live if results[i] is None]
     for i in live:
         results[i] = QuadratureResult(
-            value[i], estimate[i], prec.max_level, evaluations, converged=False
+            value[i], estimate[i], MAX_LEVEL, evaluations, converged=False
         )
     return results
 
@@ -191,7 +197,7 @@ def tanh_sinh_integrate(f, prec: Precision = DEFAULT_PRECISION) -> QuadratureRes
     f is never called at 0 or 1.  Refines level by level and stops at the
     first level from MIN_STOP_LEVEL (3) on whose error estimate, d_L²/d_(L−1)
     over the differences d_L of successive level sums, is at most
-    prec.abs_tol (see _refine).  If the level budget runs out, or
+    prec.abs_tol (see _refine).  If MAX_LEVEL (12) passes without one, or
     prec.abs_tol is below one ulp of the sum, the best value is returned with
     converged=False.  f must be real: a complex value raises DomainError.
     """
@@ -254,10 +260,10 @@ def integral_In_numeric_many(specs, prec: Precision = DEFAULT_PRECISION) -> list
 
 
 def _inner_domain(z_grid, t_grid) -> tuple[list[mpf], list[mpf]]:
-    """The inner integral's arguments as mpf, each z > 0 and each 0 <= t < 1."""
+    """The inner integral's arguments as mpf, each z > 0 and each t a real in [0, 1)."""
     zs = [check_z(z) for z in z_grid]
-    ts = [to_mpf(t) for t in t_grid]
-    if not all(0 <= t < 1 for t in ts):
+    ts = [to_mpf(t) for t in t_grid if is_real(t)]
+    if len(ts) < len(t_grid) or not all(0 <= t < 1 for t in ts):
         raise DomainError("t must lie in [0, 1)")
     return zs, ts
 

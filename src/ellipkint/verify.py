@@ -18,15 +18,7 @@ import mpmath
 from mpmath import mpf
 
 from .closedform import In_exact_real, closed_form
-from .precision import (
-    DEFAULT_PRECISION,
-    DomainError,
-    Precision,
-    check_index,
-    check_tol,
-    check_z,
-    to_mpf,
-)
+from .precision import DEFAULT_PRECISION, Precision, check_tol, to_mpf
 from .quadfield import QuadExt, Surd
 from .quadrature import (
     I0_via_swap,
@@ -72,11 +64,8 @@ class CheckReport:
 def _report(name: str, errors: dict, tol: float, notes: str = "") -> CheckReport:
     """The worst of `errors` (readable case -> error) against `tol`.
 
-    A check with no cases proves nothing, so it is a DomainError, not a pass.
     An exact comparison records 0.0 for a match and inf for a miss.
     """
-    if not errors:
-        raise DomainError(f"{name}: no cases to check")
     case, worst = max(errors.items(), key=lambda item: item[1])
     worst = float(worst)
     if len(errors) > 1 and worst:
@@ -84,31 +73,34 @@ def _report(name: str, errors: dict, tol: float, notes: str = "") -> CheckReport
     return CheckReport(name, worst, tol, worst <= tol, len(errors), notes)
 
 
+# The suite is fixed: every grid, step and order a check runs over is one of
+# these constants.
 DEFAULT_Z_GRID = (Fraction(1, 10), Fraction(1, 3), Fraction(1), Fraction(3), Fraction(10))
-DEFAULT_STEP = 1e-4
+IDENTITY_N_MAX = 8
 # the inner integral's (z, t) grid
 INNER_Z_GRID = tuple(Fraction(1, 10) + Fraction(11, 10) * i for i in range(10))
 INNER_T_GRID = tuple(Fraction(1, 20) + Fraction(1, 10) * i for i in range(10))
-# run_suite's derivative ladder: n = 0..LADDER_N_MAX at each z of LADDER_Z_GRID
+# the derivative ladder: n = 0..LADDER_N_MAX at each z of LADDER_Z_GRID, with
+# step DEFAULT_STEP and relative tolerance LADDER_REL_TOL whatever the tol
 LADDER_N_MAX = 4
 LADDER_Z_GRID = (Fraction(1, 3), Fraction(1), Fraction(3))
+DEFAULT_STEP = 1e-4
+LADDER_REL_TOL = 1e-6
+RELATIONS_MAX_INDEX = 10
+# check_exact_to_float's orders
+EXACT_N_GRID = (0, 1, 5, 20, 40)
+# check_structure's order covers every closed form the other checks compare
+STRUCTURE_N_MAX = 12
 
 # A check that compares I_n(z) quadratures comes in two parts: the specs it
-# needs, with every input rule applied, and a comparison that takes their
-# values in the same order.  Alone it makes one batch of its own specs;
+# needs and a comparison that takes their values in the same order.
 # run_suite makes one batch of every part's specs and hands each part its
 # share, and the batch runs each distinct integral once.
 
 
-def _alone(part, prec: Precision):
-    specs, compare = part
-    return compare([result.value for result in integral_In_numeric_many(specs, prec)])
-
-
-def _identity(n_max, z_grid, tol, prec):
-    check_index(n_max, "n_max")
-    check_tol(tol)
-    specs = [IntegralSpec(n, z) for n in range(n_max + 1) for z in z_grid]
+def _identity(tol, prec):
+    """|quadrature(LHS) - closed form(RHS)| for n <= IDENTITY_N_MAX over DEFAULT_Z_GRID."""
+    specs = [IntegralSpec(n, z) for n in range(IDENTITY_N_MAX + 1) for z in DEFAULT_Z_GRID]
 
     def compare(values):
         errors = {}
@@ -116,28 +108,21 @@ def _identity(n_max, z_grid, tol, prec):
             for spec, value in zip(specs, values):
                 exact = In_exact_real(spec.n, spec.z, prec)
                 errors[f"n={spec.n}, z={spec.z}"] = abs(value - exact)
-        return _report(f"integral identity, n<={n_max}, {len(z_grid)} z values", errors, tol)
+        name = f"integral identity, n<={IDENTITY_N_MAX}, {len(DEFAULT_Z_GRID)} z values"
+        return _report(name, errors, tol)
 
     return specs, compare
 
 
-def check_identity(
-    n_max: int = 8,
-    z_grid=DEFAULT_Z_GRID,
-    tol: float = 1e-10,
-    prec: Precision = DEFAULT_PRECISION,
-) -> CheckReport:
-    """|quadrature(LHS) - closed form(RHS)| over an (n, z) grid."""
-    return _alone(_identity(n_max, z_grid, tol, prec), prec)
+def _derivative_step(n, z, prec):
+    """Induction step of the derivative ladder by finite differences.
 
-
-def _derivative_step(n, z, h, rel_tol, prec):
-    check_tol(rel_tol, "rel_tol")
+    I_{n+1}(z) must equal -2/(2n+3) * dI_n/dz; the derivative is estimated by
+    central differences at steps DEFAULT_STEP and DEFAULT_STEP/2 with one
+    Richardson round.
+    """
     with prec.workdps():
-        x = check_z(z)
-        h = to_mpf(h)
-        if not 0 < h < x:  # also rejects nan, for which every comparison is false
-            raise DomainError("step h must satisfy 0 < h < z")
+        x, h = to_mpf(z), to_mpf(DEFAULT_STEP)
         half = h / 2
         specs = [
             IntegralSpec(n, x + h),
@@ -155,35 +140,15 @@ def _derivative_step(n, z, h, rel_tol, prec):
             derivative = (4 * d_fine - d_coarse) / 3
             candidate = -2 * derivative / (2 * n + 3)
             rel_err = abs(candidate - target) / abs(target)
-            notes = ""
-            correction = abs(derivative - d_fine)
-            if correction > abs(derivative) * mpf("1e-3"):
-                notes = "Richardson correction large; step likely oversized"
         name = f"derivative ladder n={n} -> {n + 1} at z={z}"
-        return _report(name, {f"n={n}, z={z}": rel_err}, rel_tol, notes)
+        return _report(name, {f"n={n}, z={z}": rel_err}, LADDER_REL_TOL)
 
     return specs, compare
 
 
-def check_derivative_step(
-    n: int,
-    z,
-    h: float = DEFAULT_STEP,
-    rel_tol: float = 1e-6,
-    prec: Precision = DEFAULT_PRECISION,
-) -> CheckReport:
-    """Induction step of the derivative ladder by finite differences.
-
-    I_{n+1}(z) must equal -2/(2n+3) * dI_n/dz; the derivative is estimated by
-    central differences at steps h and h/2 with one Richardson round;
-    0 < h < z.
-    """
-    return _alone(_derivative_step(n, z, h, rel_tol, prec), prec)
-
-
-def _order_swap(z_grid, tol, prec):
-    check_tol(tol)
-    specs = [IntegralSpec(0, z) for z in z_grid]
+def _order_swap(tol, prec):
+    """Order-of-integration swap: iterated route vs direct quadrature over DEFAULT_Z_GRID."""
+    specs = [IntegralSpec(0, z) for z in DEFAULT_Z_GRID]
 
     def compare(values):
         errors = {}
@@ -195,31 +160,18 @@ def _order_swap(z_grid, tol, prec):
     return specs, compare
 
 
-def check_order_swap(
-    z_grid=DEFAULT_Z_GRID, tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION
-) -> CheckReport:
-    """Order-of-integration swap: iterated route vs direct quadrature."""
-    return _alone(_order_swap(z_grid, tol, prec), prec)
-
-
 def check_inner_closed_form(
-    z_grid=INNER_Z_GRID,
-    t_grid=INNER_T_GRID,
-    tol: float = 1e-10,
-    prec: Precision = DEFAULT_PRECISION,
+    tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION
 ) -> CheckReport:
-    """Inner-integral closed form vs its quadrature on a (z, t) grid."""
+    """Inner-integral closed form vs its quadrature on INNER_Z_GRID x INNER_T_GRID."""
     check_tol(tol)
     errors = {}
     with prec.workdps():
-        rows = inner_integral_numeric_grid(z_grid, t_grid, prec)
-        for z, row in zip(z_grid, rows):
-            for t, numeric in zip(t_grid, row):
+        rows = inner_integral_numeric_grid(INNER_Z_GRID, INNER_T_GRID, prec)
+        for z, row in zip(INNER_Z_GRID, rows):
+            for t, numeric in zip(INNER_T_GRID, row):
                 errors[f"z={z}, t={t}"] = abs(numeric - inner_integral_closed(z, t))
     return _report("inner-integral closed form", errors, tol)
-
-
-EXACT_N_GRID = (0, 1, 5, 20, 40)
 
 
 def check_exact_to_float() -> CheckReport:
@@ -265,7 +217,12 @@ def _published_tables() -> list[tuple[str, int, str, ExactValue, bool]]:
 
 
 def _audit(tol, prec):
-    check_tol(tol)
+    """Compare the exact engine against every published identity.
+
+    All entries must match exactly except the I_2(3) one, whose printed surd
+    disagrees with both independent routes; that entry passes when the
+    mismatch is observed and the quadrature sides with the computed value.
+    """
     entries = _published_tables()
     specs = [IntegralSpec(n, CATALOG[p].z.a) for _, n, p, _, match in entries if not match]
 
@@ -303,18 +260,6 @@ def _audit(tol, prec):
     return specs, compare
 
 
-def audit_published_tables(
-    tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION
-) -> list[CheckReport]:
-    """Compare the exact engine against every published identity.
-
-    All entries must match exactly except the I_2(3) one, whose printed surd
-    disagrees with both independent routes; that entry passes when the
-    mismatch is observed and the quadrature sides with the computed value.
-    """
-    return _alone(_audit(tol, prec), prec)
-
-
 def _z1_decomposition(k: int):
     """(a_k, b_k) read off eval_at_special(k, 1), or None if it is not a_k + b_k*pi.
 
@@ -330,21 +275,26 @@ def _z1_decomposition(k: int):
     return value.alg_coeff.a, value.pi_coeff.a
 
 
-def _relations(max_index, tol, prec):
-    check_index(max_index, "max_index")
-    check_tol(tol)
-    specs = [IntegralSpec(k, 1) for k in range(max_index + 1)]
+def _relations(tol, prec):
+    """Pairwise rational relations between sqrt(2)*I_n(1) values, n <= RELATIONS_MAX_INDEX.
+
+    Exactness: every (a_k, b_k) that in1_pair reads off the closed form must
+    be what eval_at_special's exact value at z = 1 decomposes into.  The
+    numeric side replays each relation with quadrature values of the integrals.
+    """
+    indices = range(RELATIONS_MAX_INDEX + 1)
+    specs = [IntegralSpec(k, 1) for k in indices]
 
     def compare(values):
-        pairs = [in1_pair(k) for k in range(max_index + 1)]
+        pairs = [in1_pair(k) for k in indices]
         # exact: each pair must be what the exact value at z = 1 decomposes into
         exact = [_z1_decomposition(k) == pair for k, pair in enumerate(pairs)]
         errors = {}
         with prec.workdps():
             sqrt2 = mpmath.sqrt(2)
             numeric = [sqrt2 * value for value in values]
-            for n in range(max_index + 1):
-                for m in range(max_index + 1):
+            for n in indices:
+                for m in indices:
                     if pairs[m][1] == 0:
                         continue
                     P, Q = _relation(pairs[n], pairs[m])
@@ -356,23 +306,10 @@ def _relations(max_index, tol, prec):
     return specs, compare
 
 
-def check_relations(
-    max_index: int = 10, tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION
-) -> CheckReport:
-    """Pairwise rational relations between sqrt(2)*I_n(1) values.
-
-    Exactness: every (a_k, b_k) that in1_pair reads off the closed form must
-    be what eval_at_special's exact value at z = 1 decomposes into.  The
-    numeric side replays each relation with quadrature values of the integrals.
-    """
-    return _alone(_relations(max_index, tol, prec), prec)
-
-
-def check_structure(n_max: int = 12) -> CheckReport:
-    """Degrees and leading coefficients of the closed forms."""
-    check_index(n_max, "n_max")
+def check_structure() -> CheckReport:
+    """Degrees and leading coefficients of the closed forms, n <= STRUCTURE_N_MAX."""
     errors = {}
-    for n in range(n_max + 1):
+    for n in range(STRUCTURE_N_MAX + 1):
         form = closed_form(n)
         ok = (
             len(form.A) == n + 1
@@ -382,7 +319,7 @@ def check_structure(n_max: int = 12) -> CheckReport:
         )
         errors[f"n={n}"] = 0.0 if ok else math.inf
     return _report(
-        f"closed-form structure, n<={n_max}", errors, 0.0, "exact structural comparison"
+        f"closed-form structure, n<={STRUCTURE_N_MAX}", errors, 0.0, "exact structural comparison"
     )
 
 
@@ -413,23 +350,23 @@ class SuiteResult:
 def run_suite(tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION) -> SuiteResult:
     """Run every cross-check; deterministic for a fixed tol and prec.
 
-    Each check runs at its own defaults, and the derivative ladder at
-    n = 0..LADDER_N_MAX over LADDER_Z_GRID.  Every input rule runs first.
-    Then the checks that compare I_n(z) quadratures share one
-    integral_In_numeric_many call over all their specs, which runs each
-    distinct integral once, and each check takes its share of the values in
-    order.  Nothing is kept between runs.
+    tol, checked before any work, is the tolerance of every check that
+    compares floating values but the ladder (LADDER_REL_TOL) and the
+    exact-to-float check (1e-35).  The checks
+    that compare I_n(z) quadratures share one integral_In_numeric_many call
+    over all their specs, which runs each distinct integral once, and each
+    check takes its share of the values in order.  Nothing is kept between
+    runs.
     """
-    identity = _identity(8, DEFAULT_Z_GRID, tol, prec)
-    swap = _order_swap(DEFAULT_Z_GRID, tol, prec)
-    ladder = [
-        _derivative_step(n, z, DEFAULT_STEP, 1e-6, prec)
-        for n in range(LADDER_N_MAX + 1)
-        for z in LADDER_Z_GRID
+    check_tol(tol)
+    ladder = [_derivative_step(n, z, prec) for n in range(LADDER_N_MAX + 1) for z in LADDER_Z_GRID]
+    parts = [
+        _identity(tol, prec),
+        _order_swap(tol, prec),
+        *ladder,
+        _audit(tol, prec),
+        _relations(tol, prec),
     ]
-    audit = _audit(tol, prec)
-    relations = _relations(10, tol, prec)
-    parts = [identity, swap, *ladder, audit, relations]
     results = integral_In_numeric_many([spec for specs, _ in parts for spec in specs], prec)
     values = (result.value for result in results)
     identity, swap, *ladder, audit, relations = (
@@ -438,7 +375,7 @@ def run_suite(tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION) -> SuiteR
     reports = [
         check_structure(),
         identity,
-        check_inner_closed_form(tol=tol, prec=prec),
+        check_inner_closed_form(tol, prec),
         swap,
         *ladder,
         *audit,

@@ -15,6 +15,7 @@ from mpmath import mpf
 import ellipkint as ek
 from ellipkint.cli import main as cli_main
 from ellipkint.specialvalues import in1_pair
+from ellipkint import verify
 from ellipkint.verify import check_structure
 
 F = Fraction
@@ -60,8 +61,20 @@ def test_criterion_2_z1_table(capsys):
         report(2, "I_n(1) table, n=0..3, exact + numeric", exact_ok and numeric_ok)
 
 
-def test_criterion_3_other_tables(capsys):
-    reports = ek.audit_published_tables()
+@pytest.fixture(scope="module")
+def suite():
+    # criteria 3-8 read their reports from one run of the fixed suite
+    start = time.perf_counter()
+    result = ek.run_suite()
+    return result, time.perf_counter() - start
+
+
+def reports_named(suite, prefix):
+    return [r for r in suite[0].reports if r.name.startswith(prefix)]
+
+
+def test_criterion_3_other_tables(capsys, suite):
+    reports = reports_named(suite, "table audit")
     matches = [r for r in reports if "MISMATCH" not in r.name]
     mismatch = [r for r in reports if "MISMATCH" in r.name]
     ok = (
@@ -74,66 +87,71 @@ def test_criterion_3_other_tables(capsys):
         report(3, "tables at z=3, 1/3 and cot^2 points; I_2(3) flagged", ok)
 
 
-def test_criterion_4_identity_sweep(capsys):
-    start = time.perf_counter()
-    result = ek.check_identity(n_max=8, z_grid=Z_GRID, tol=1e-10)
-    elapsed = time.perf_counter() - start
+def test_criterion_4_identity_sweep(capsys, suite):
+    (result,) = reports_named(suite, "integral identity")
+    elapsed = suite[1]
     with capsys.disabled():
         report(
             4,
-            f"sweep n<=8 x 5 z values, max err {result.max_abs_error:.1e}, {elapsed:.1f}s",
-            result.passed and elapsed < 60,
+            f"sweep n<=8 x 5 z values, max err {result.max_abs_error:.1e}, suite {elapsed:.1f}s",
+            result.passed
+            and result.cases == 45
+            and result.tolerance == 1e-10
+            and verify.DEFAULT_Z_GRID == Z_GRID
+            and elapsed < 60,
         )
 
 
-def test_criterion_5_inner_integral(capsys):
-    result = ek.check_inner_closed_form(tol=1e-10)
+def test_criterion_5_inner_integral(capsys, suite):
+    (result,) = reports_named(suite, "inner-integral closed form")
     with capsys.disabled():
         report(
             5,
             f"inner-integral identity on 10x10 grid, max err {result.max_abs_error:.1e}",
-            result.passed and result.cases == 100,
+            result.passed and result.cases == 100 and result.tolerance == 1e-10,
         )
 
 
-def test_criterion_6_order_swap(capsys):
-    result = ek.check_order_swap(z_grid=Z_GRID, tol=1e-10)
+def test_criterion_6_order_swap(capsys, suite):
+    (result,) = reports_named(suite, "order-swap identity")
     with capsys.disabled():
         report(
             6,
             f"order-swap on 5-point grid, max err {result.max_abs_error:.1e}",
-            result.passed,
+            result.passed and result.cases == 5 and result.tolerance == 1e-10,
         )
 
 
-def test_criterion_7_derivative_ladder(capsys):
-    reports = [
-        ek.check_derivative_step(n, z, rel_tol=1e-6)
+def test_criterion_7_derivative_ladder(capsys, suite):
+    reports = reports_named(suite, "derivative ladder")
+    names = {
+        f"derivative ladder n={n} -> {n + 1} at z={z}"
         for n in range(5)
         for z in (F(1, 3), F(1), F(3))
-    ]
+    }
     worst = max(r.max_abs_error for r in reports)
     with capsys.disabled():
         report(
             7,
             f"finite-difference ladder n=0..4, worst rel err {worst:.1e}",
-            all(r.passed for r in reports),
+            {r.name for r in reports} == names
+            and all(r.passed and r.tolerance == 1e-6 for r in reports),
         )
 
 
-def test_criterion_8_relations(capsys):
-    result = ek.check_relations(max_index=10, tol=1e-10)
+def test_criterion_8_relations(capsys, suite):
+    (result,) = reports_named(suite, "pairwise rational relations")
     with capsys.disabled():
         report(
             8,
             f"(P,Q) relations for n,m<=10, numeric residual {result.max_abs_error:.1e}",
-            result.passed,
+            result.passed and result.cases == 121 and result.tolerance == 1e-10,
         )
 
 
 def test_criterion_9_property_suites(capsys):
     rng = random.Random(20191122)
-    ok = check_structure(12).passed
+    ok = check_structure().passed
 
     # elliptic: monotone, bounded below by pi/2
     moduli = sorted(rng.uniform(0.01, 0.99) for _ in range(12))

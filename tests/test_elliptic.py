@@ -41,6 +41,10 @@ def test_k_domain():
         ellip_k(1.5)
     with pytest.raises(DomainError):
         ellip_k(float("nan"))
+    # a k that is not a real number is outside the domain too
+    for k in ("0.5", "abc", None, 0.5j, True):
+        with pytest.raises(DomainError):
+            ellip_k(k)
 
 
 def test_k_lower_bound_and_monotonic():

@@ -138,6 +138,44 @@ def test_special_point_validation():
         SpecialPoint("bad", qe(1), F(2, 3))
 
 
+@pytest.mark.parametrize(
+    "z,theta",
+    [
+        (2, F(1, 5)),  # an int z is coerced; ArcCot(sqrt(2)) is not pi/5
+        (F(1, 5), F(1, 5)),
+        (qe(1), 0.25),
+        (qe(1), True),
+        (qe(1), "1/4"),
+        (1.0, F(1, 4)),
+        ("1", F(1, 4)),
+        (True, F(1, 4)),
+        (None, F(1, 4)),
+    ],
+    ids=[
+        "int-z",
+        "fraction-z",
+        "float-theta",
+        "bool-theta",
+        "str-theta",
+        "float-z",
+        "str-z",
+        "bool-z",
+        "None-z",
+    ],
+)
+def test_special_point_rejects_a_bad_z_or_theta_as_a_domain_error(z, theta):
+    # never a bare AttributeError or TypeError, here or later in eval_at_special
+    with pytest.raises(DomainError):
+        SpecialPoint("bad", z, theta)
+
+
+@pytest.mark.parametrize("z", [1, F(1)], ids=["int", "fraction"])
+def test_special_point_takes_an_int_or_fraction_z(z):
+    point = SpecialPoint("one", z, F(1, 4))
+    assert point.z == QuadExt(F(1))
+    assert eval_at_special(2, point) == eval_at_special(2, CATALOG["1"])
+
+
 def test_special_point_theta_must_match_z():
     # ArcCot(sqrt(2)) is not pi/5: eval_at_special(0, .) would give 0.25651
     # where I_0(2) is 0.25127

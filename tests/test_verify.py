@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import inspect
 import json
 import math
 from fractions import Fraction
@@ -17,12 +16,7 @@ from ellipkint import (
     Precision,
     QuadExt,
     ToleranceNotReached,
-    audit_published_tables,
-    check_derivative_step,
-    check_order_swap,
     check_inner_closed_form,
-    check_identity,
-    check_relations,
     closed_form,
     eval_at_special,
     inner_integral_closed,
@@ -42,57 +36,23 @@ def suite():
     return run_suite()
 
 
-def test_identity_single_point():
-    report = check_identity(n_max=0, z_grid=(F(1),), tol=1e-10)
+def reports_named(suite, prefix):
+    return [r for r in suite.reports if r.name.startswith(prefix)]
+
+
+def test_identity_report_covers_its_grid(suite):
+    (report,) = reports_named(suite, "integral identity")
+    assert report.name == "integral identity, n<=8, 5 z values"
     assert report.passed
-    assert report.cases == 1
-    assert report.max_abs_error <= 1e-10
-
-
-def test_identity_z1_block():
-    report = check_identity(n_max=3, z_grid=(F(1),), tol=1e-10)
-    assert report.passed
-    assert report.cases == 4
-
-
-def test_identity_rejects_bad_grid():
-    with pytest.raises(DomainError):
-        check_identity(n_max=1, z_grid=(F(1), F(-1)))
-    with pytest.raises(DomainError):
-        check_identity(n_max=-1, z_grid=(F(1),))
-
-
-def test_derivative_step_small_steps_pass():
-    assert check_derivative_step(0, F(1), h=1e-4).passed
-    assert check_derivative_step(2, F(3), h=1e-4).passed
-
-
-@pytest.mark.parametrize("h", [0, math.nan, -1e-4, 1])
-def test_derivative_step_rejects_a_step_outside_0_z(h):
-    with pytest.raises(DomainError, match="0 < h < z"):
-        check_derivative_step(0, 1, h=h)
-
-
-def test_derivative_step_oversized():
-    report = check_derivative_step(0, F(1), h=0.3)
-    # discretization dominates: either the check fails outright or the
-    # Richardson instability warning fires
-    assert (not report.passed) or report.notes
-
-
-def test_order_swap_and_inner_closed_form():
-    assert check_order_swap(z_grid=(F(1), F(3))).passed
-    small = check_inner_closed_form(z_grid=[F(1), F(3)], t_grid=[F(1, 4), F(3, 4)])
-    assert small.passed
-    assert small.cases == 4
+    assert report.cases == (verify.IDENTITY_N_MAX + 1) * len(verify.DEFAULT_Z_GRID)
 
 
 def test_structure_check():
-    assert check_structure(12).passed
+    assert check_structure().passed
 
 
-def test_audit_flags_only_i2_3():
-    reports = audit_published_tables()
+def test_audit_flags_only_i2_3(suite):
+    reports = reports_named(suite, "table audit")
     assert len(reports) == 12
     mismatches = [r for r in reports if "MISMATCH" in r.name]
     assert len(mismatches) == 1
@@ -101,10 +61,10 @@ def test_audit_flags_only_i2_3():
     assert all(r.passed for r in reports)
 
 
-def test_relations_check():
-    report = check_relations(max_index=4)
+def test_relations_check(suite):
+    (report,) = reports_named(suite, "pairwise rational relations")
     assert report.passed
-    assert report.cases == 25  # b_m is nonzero for every m
+    assert report.cases == (verify.RELATIONS_MAX_INDEX + 1) ** 2  # b_m is nonzero for every m
 
 
 def test_relations_miss_reads_inf(monkeypatch):
@@ -117,8 +77,9 @@ def test_relations_miss_reads_inf(monkeypatch):
         return (a + 1, b) if k == 2 else (a, b)
 
     monkeypatch.setattr(verify, "in1_pair", perturbed)
-    report = check_relations(max_index=4)
-    assert not report.passed
+    suite = run_suite()
+    (report,) = reports_named(suite, "pairwise rational relations")
+    assert not report.passed and not suite.all_passed
     assert report.max_abs_error == math.inf
     assert "worst at n=0, m=2" in report.notes  # the first pair with k = 2
 
@@ -126,30 +87,6 @@ def test_relations_miss_reads_inf(monkeypatch):
 def test_reports_are_self_consistent(suite):
     for report in suite.reports:
         assert report.passed == (report.max_abs_error <= report.tolerance)
-
-
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda: check_identity(z_grid=()),
-        lambda: check_order_swap(z_grid=()),
-        lambda: check_inner_closed_form(z_grid=[]),
-        lambda: check_inner_closed_form(t_grid=[]),
-        lambda: check_relations(max_index=-1),
-        lambda: check_structure(-1),
-    ],
-    ids=[
-        "identity-no-z",
-        "order-swap-no-z",
-        "inner-no-z",
-        "inner-no-t",
-        "relations-no-index",
-        "structure-no-n",
-    ],
-)
-def test_check_without_cases_is_an_error(run):
-    with pytest.raises(DomainError):
-        run()
 
 
 def test_structure_failure_reports_inf(monkeypatch):
@@ -160,7 +97,7 @@ def test_structure_failure_reports_inf(monkeypatch):
         return dataclasses.replace(form, A=(*form.A[:-1], form.A[-1] + 1))
 
     monkeypatch.setattr(verify, "closed_form", wrong_leading_coefficient)
-    report = check_structure(3)
+    report = check_structure()
     assert not report.passed
     assert report.max_abs_error == math.inf
     assert "worst at n=0" in report.notes
@@ -182,15 +119,19 @@ def test_exact_to_float_fails_when_a_and_b_sqrt_d_cancel(monkeypatch):
     assert "z=cot2-pi-1" in report.notes  # an irrational point is the worst
 
 
-def test_derivative_step_names_z_as_given():
-    report = check_derivative_step(0, F(1, 3))
-    assert report.name == "derivative ladder n=0 -> 1 at z=1/3"
+def test_derivative_ladder_names_z_as_given(suite):
+    reports = reports_named(suite, "derivative ladder")
+    assert len(reports) == (verify.LADDER_N_MAX + 1) * len(verify.LADDER_Z_GRID)
+    assert reports[0].name == "derivative ladder n=0 -> 1 at z=1/3"
+    assert all(r.tolerance == verify.LADDER_REL_TOL for r in reports)
 
 
 # sha256 of `ellipkint verify --format json` (the default suite, indent=2),
 # as computed once quadratures stopped on d_L²/d_(L−1) from level 3 on and
 # the suite gained the exact-to-float check
 DEFAULT_SUITE_SHA256 = "3a1db934339e20e3d60ad48d1c375ef54f56996e477898f071c6eb46ee504e3e"
+# sha256 of the text report of the same suite, as `ellipkint verify` prints it
+DEFAULT_SUITE_TEXT_SHA256 = "c53a4aa134ccdd29fafb5e931328f0e8a0f2dbf6136badc4f8dc4758c64b3f7c"
 
 
 def test_default_suite_output_pinned(suite):
@@ -198,39 +139,19 @@ def test_default_suite_output_pinned(suite):
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SUITE_SHA256
 
 
-def test_structure_covers_every_compared_closed_form():
-    def default(check, name):
-        return inspect.signature(check).parameters[name].default
+def test_default_suite_text_pinned(suite):
+    text = suite.text() + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SUITE_TEXT_SHA256
 
+
+def test_structure_covers_every_compared_closed_form():
     compared = max(
-        default(check_identity, "n_max"),
+        verify.IDENTITY_N_MAX,
         verify.LADDER_N_MAX + 1,  # the ladder's I_{n+1}
-        default(check_relations, "max_index"),
+        verify.RELATIONS_MAX_INDEX,
         *(n for _, n, *_ in verify._published_tables()),
     )
-    assert default(check_structure, "n_max") >= compared
-
-
-# every public entry that takes an order up to which the family index runs,
-# each handed one order that is not a nonnegative integer
-ORDER_ENTRY_POINTS = {
-    "check_identity": lambda order: check_identity(n_max=order, z_grid=(F(1),)),
-    "check_derivative_step": lambda order: check_derivative_step(order, 1),
-    "check_relations": lambda order: check_relations(max_index=order),
-    "check_structure": lambda order: check_structure(order),
-}
-
-
-NOT_AN_INDEX = pytest.mark.parametrize(
-    "value", [0.5, 1.5, F(5, 2), "2", True], ids=["0.5", "1.5", "5/2", "str", "bool"]
-)
-
-
-@NOT_AN_INDEX
-@pytest.mark.parametrize("entry", sorted(ORDER_ENTRY_POINTS))
-def test_every_order_entry_point_rejects_a_non_integer_order(entry, value):
-    with pytest.raises(DomainError, match="nonnegative integer"):
-        ORDER_ENTRY_POINTS[entry](value)
+    assert verify.STRUCTURE_N_MAX >= compared
 
 
 # every public entry that takes the family index n itself, each handed one
@@ -245,7 +166,9 @@ INDEX_ENTRY_POINTS = {
 }
 
 
-@NOT_AN_INDEX
+@pytest.mark.parametrize(
+    "value", [0.5, 1.5, F(5, 2), "2", True], ids=["0.5", "1.5", "5/2", "str", "bool"]
+)
 @pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
 def test_every_index_entry_point_rejects_a_non_integer_index(entry, value):
     with pytest.raises(DomainError, match="family index n must be a nonnegative integer"):
@@ -270,15 +193,13 @@ Z_ENTRY_POINTS = {
     "I0_via_swap": I0_via_swap,
     "inner_integral_closed": lambda z: inner_integral_closed(z, 0.5),
     "inner_integral_numeric_grid": lambda z: inner_integral_numeric_grid([1, z], [0.5]),
-    "check_identity": lambda z: check_identity(n_max=0, z_grid=(1, z)),
-    "check_order_swap": lambda z: check_order_swap(z_grid=(1, z)),
-    "check_derivative_step": lambda z: check_derivative_step(0, z),
-    "check_inner_closed_form": lambda z: check_inner_closed_form(z_grid=(1, z)),
 }
 
 
 @pytest.mark.parametrize(
-    "z", [0, -1, math.nan, math.inf, mpmath.inf], ids=["0", "-1", "nan", "inf", "mpf-inf"]
+    "z",
+    [0, -1, math.nan, math.inf, mpmath.inf, "1", "abc", None, 1j, True],
+    ids=["0", "-1", "nan", "inf", "mpf-inf", "str-1", "str-abc", "None", "complex", "bool"],
 )
 @pytest.mark.parametrize("entry", sorted(Z_ENTRY_POINTS))
 def test_every_z_entry_point_rejects_z_outside_the_domain(entry, z):
@@ -290,17 +211,14 @@ def test_every_z_entry_point_rejects_z_outside_the_domain(entry, z):
 # tolerance; Precision.abs_tol, under the same rule, has its own test
 TOL_ENTRY_POINTS = {
     "run_suite": lambda tol: run_suite(tol=tol),
-    "check_identity": lambda tol: check_identity(0, (1,), tol=tol),
-    "check_derivative_step": lambda tol: check_derivative_step(0, 1, rel_tol=tol),
-    "check_order_swap": lambda tol: check_order_swap((1,), tol=tol),
-    "check_inner_closed_form": lambda tol: check_inner_closed_form([1], [0.5], tol=tol),
-    "audit_published_tables": lambda tol: audit_published_tables(tol=tol),
-    "check_relations": lambda tol: check_relations(2, tol=tol),
+    "check_inner_closed_form": lambda tol: check_inner_closed_form(tol=tol),
 }
 
 
 @pytest.mark.parametrize(
-    "tol", [math.nan, -1.0, 0, math.inf, "1e-10"], ids=["nan", "-1", "0", "inf", "str"]
+    "tol",
+    [math.nan, -1.0, 0, math.inf, "1e-10", True],
+    ids=["nan", "-1", "0", "inf", "str", "bool"],
 )
 @pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
 def test_every_tolerance_entry_point_rejects_a_tolerance_outside_0_inf(monkeypatch, entry, tol):
@@ -333,25 +251,8 @@ def test_suite_makes_one_quadrature_pass_over_its_distinct_specs(monkeypatch):
     assert members == [107]
 
 
-def test_each_check_alone_matches_its_report_in_the_suite(suite):
-    alone = [
-        check_structure(),
-        check_identity(),
-        check_inner_closed_form(),
-        check_order_swap(),
-        *[
-            check_derivative_step(n, z)
-            for n in range(verify.LADDER_N_MAX + 1)
-            for z in verify.LADDER_Z_GRID
-        ],
-        *audit_published_tables(),
-        check_exact_to_float(),
-        check_relations(),
-    ]
-    assert alone == suite.reports
-
-
-def test_suite_raises_when_a_quadrature_cannot_converge():
+def test_suite_raises_when_a_quadrature_cannot_converge(monkeypatch):
     # the batch's below-one-ulp stop has its own test in test_quadrature.py
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", 3)
     with pytest.raises(ToleranceNotReached):
-        run_suite(prec=Precision(abs_tol=1e-30, max_level=3))
+        run_suite(prec=Precision(abs_tol=1e-30))
