@@ -192,6 +192,28 @@ def test_tol_flag_not_finite(capsys, command, value):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [["eval", "--n", "0", "--z", "1"], ["verify"]])
+@pytest.mark.parametrize("value", ["0", "-1e-12", "-inf"])
+def test_tol_flag_not_positive(capsys, command, value):
+    # "--tol=-1e-12": argparse reads a separate "-1e-12" as a flag
+    code, out, err = run(capsys, *command, f"--tol={value}")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["abc", "inf", "nan", "0", "-1e-12"])
+def test_verify_rejects_a_bad_env_tolerance_before_any_check(monkeypatch, capsys, value):
+    # a usage error (exit 2), not a suite that runs and fails (exit 3)
+    def no_suite(*args, **kwargs):
+        raise AssertionError("the suite ran before the tolerance was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    monkeypatch.setenv("ELLIPKINT_TOL", value)
+    code, out, err = run(capsys, "verify")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_order_cap_fails_fast(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "identity", "--n", "1500", "--point", "1")
@@ -233,6 +255,11 @@ def test_z_too_large_to_hold(capsys, z):
         ["relation", "--n", "0", "--m", str(MAX_N + 1)],
         ["relation", "--n", str(MAX_N + 1), "--m", "0"],
         ["identity", "--n", "-1", "--point", "1"],
+        ["eval", "--n", "-1", "--z", "1"],
+        ["identity", "--n", str(MAX_N + 1), "--point", "1"],
+        ["table", "--max-n", "-1", "--points", "1"],
+        ["relation", "--n", "-1", "--m", "0"],
+        ["relation", "--n", "0", "--m", "-1"],
     ],
 )
 def test_order_outside_range(capsys, argv):

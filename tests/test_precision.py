@@ -1,10 +1,13 @@
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from ellipkint import DEFAULT_PRECISION
-from ellipkint.precision import to_mpf
+from ellipkint.precision import is_real, to_mpf
 
 
 def _floor_log2(x: Fraction) -> int:
@@ -27,3 +30,22 @@ def test_fraction_is_rounded_once():
             man, exp = value.man_exp  # man is the magnitude's mantissa
             error = abs(man * Fraction(2) ** exp - abs(x))
             assert error <= Fraction(2) ** (_floor_log2(abs(x)) - prec), x
+
+
+@pytest.mark.parametrize(
+    "x",
+    [1, -3, Fraction(1, 3), 0.5, math.nan, math.inf, mpmath.mpf("0.25")],
+    ids=["int", "negative-int", "fraction", "float", "nan", "inf", "mpf"],
+)
+def test_is_real_takes_every_real_number_type(x):
+    # the sign and finiteness are each rule's own; is_real asks only the type
+    assert is_real(x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [True, False, "1", None, 1j, mpmath.mpc(1, 0), Decimal("0.5"), [1]],
+    ids=["True", "False", "str", "None", "complex", "mpc", "decimal", "list"],
+)
+def test_is_real_refuses_what_is_not_a_real_number(x):
+    assert not is_real(x)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -21,11 +22,12 @@ from ellipkint import (
     eval_at_special,
     inner_integral_closed,
     inner_integral_numeric_grid,
+    make_exact_value,
     relation,
     run_suite,
 )
 from ellipkint import quadrature, verify
-from ellipkint.precision import to_mpf
+from ellipkint.precision import check_index, check_z, to_mpf
 from ellipkint.verify import check_exact_to_float, check_structure
 
 F = Fraction
@@ -119,6 +121,128 @@ def test_exact_to_float_fails_when_a_and_b_sqrt_d_cancel(monkeypatch):
     assert "z=cot2-pi-1" in report.notes  # an irrational point is the worst
 
 
+def _quadrature_off(n, z):
+    """A fault: the batch's I_n(z) quadrature value, off by 1e-6."""
+
+    def plant(monkeypatch):
+        real = verify.integral_In_numeric_many
+
+        def faulty(specs, prec):
+            results = real(specs, prec)
+            with prec.workdps():
+                target = (n, z() if callable(z) else to_mpf(z))
+                return [
+                    dataclasses.replace(r, value=r.value + mpmath.mpf("1e-6"))
+                    if (s.n, to_mpf(s.z)) == target
+                    else r
+                    for s, r in zip(specs, results)
+                ]
+
+        monkeypatch.setattr(verify, "integral_In_numeric_many", faulty)
+
+    return plant
+
+
+def _route_off(name):
+    """A fault: every value of verify's route `name` off by 1e-6."""
+
+    def plant(monkeypatch):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a: real(*a) + mpmath.mpf("1e-6"))
+
+    return plant
+
+
+def _printed_i0_1_off(monkeypatch):
+    real = verify._published_tables
+
+    def misprinted():
+        (label, n, point, _, match), *rest = real()
+        assert label == "I_0(1)"
+        # pi/(5*sqrt(2)) where the table prints pi/(4*sqrt(2))
+        return [(label, n, point, make_exact_value(F(1, 5), 2, 0, 1), match), *rest]
+
+    monkeypatch.setattr(verify, "_published_tables", misprinted)
+
+
+def _ladder_shift():
+    # the ladder's I_0(1/3 + h), which no other check compares
+    return to_mpf(F(1, 3)) + to_mpf(verify.DEFAULT_STEP)
+
+
+# a fault in one value a check compares, and the reports that must fail
+# with it; every other report must still pass
+PLANTED_FAULTS = {
+    "I_8(10)": (_quadrature_off(8, 10), ["integral identity, n<=8, 5 z values"]),
+    "I_10(1)": (_quadrature_off(10, 1), ["pairwise rational relations at z=1"]),
+    "I_0(1/10)": (
+        _quadrature_off(0, F(1, 10)),
+        ["integral identity, n<=8, 5 z values", "order-swap identity for I_0"],
+    ),
+    "I_5(3)": (
+        _quadrature_off(5, 3),
+        ["integral identity, n<=8, 5 z values", "derivative ladder n=4 -> 5 at z=3"],
+    ),
+    "I_2(3)": (
+        _quadrature_off(2, 3),
+        [
+            "integral identity, n<=8, 5 z values",
+            "derivative ladder n=1 -> 2 at z=3",
+            "table audit I_2(3) (expected MISMATCH)",
+        ],
+    ),
+    "I_0(1/3+h)": (_quadrature_off(0, _ladder_shift), ["derivative ladder n=0 -> 1 at z=1/3"]),
+    "I0_via_swap": (_route_off("I0_via_swap"), ["order-swap identity for I_0"]),
+    "inner_integral_closed": (_route_off("inner_integral_closed"), ["inner-integral closed form"]),
+    "printed-I_0(1)": (_printed_i0_1_off, ["table audit I_0(1)"]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+def test_a_planted_fault_fails_exactly_the_checks_that_compare_it(monkeypatch, fault):
+    # a check that cannot fail shows nothing: each fault must be seen, and
+    # only by the reports that compare the faulty value
+    plant, failing = PLANTED_FAULTS[fault]
+    plant(monkeypatch)
+    suite = run_suite()
+    assert [r.name for r in suite.reports if not r.passed] == failing
+    assert suite.exit_status == 3
+
+
+# the rules the checks' arguments were held to, now kept by the constants
+@pytest.mark.parametrize("grid", ["DEFAULT_Z_GRID", "LADDER_Z_GRID", "INNER_Z_GRID"])
+def test_every_fixed_z_grid_is_nonempty_and_in_the_domain(grid):
+    zs = getattr(verify, grid)
+    assert zs and len(set(zs)) == len(zs)
+    for z in zs:
+        check_z(z)  # raises DomainError outside the domain
+
+
+def test_inner_t_grid_is_nonempty_and_in_0_1():
+    ts = verify.INNER_T_GRID
+    assert ts and len(set(ts)) == len(ts)
+    assert all(0 <= t < 1 for t in ts)
+
+
+@pytest.mark.parametrize(
+    "order", ["IDENTITY_N_MAX", "LADDER_N_MAX", "RELATIONS_MAX_INDEX", "STRUCTURE_N_MAX"]
+)
+def test_every_fixed_order_is_a_nonnegative_integer(order):
+    check_index(getattr(verify, order))  # raises DomainError otherwise
+
+
+def test_exact_n_grid_holds_distinct_indices():
+    grid = verify.EXACT_N_GRID
+    assert grid and len(set(grid)) == len(grid)
+    for n in grid:
+        check_index(n)
+
+
+def test_ladder_step_lies_inside_0_z():
+    # a central difference at z needs both z + h and z - h inside the domain
+    assert 0 < verify.DEFAULT_STEP < min(verify.LADDER_Z_GRID)
+
+
 def test_derivative_ladder_names_z_as_given(suite):
     reports = reports_named(suite, "derivative ladder")
     assert len(reports) == (verify.LADDER_N_MAX + 1) * len(verify.LADDER_Z_GRID)
@@ -175,6 +299,13 @@ def test_every_index_entry_point_rejects_a_non_integer_index(entry, value):
         INDEX_ENTRY_POINTS[entry](value)
 
 
+@pytest.mark.parametrize("value", [-1, -(10**6)], ids=["-1", "-10**6"])
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+def test_every_index_entry_point_rejects_a_negative_index(entry, value):
+    with pytest.raises(DomainError, match="family index n must be a nonnegative integer"):
+        INDEX_ENTRY_POINTS[entry](value)
+
+
 def test_suite_deterministic(suite):
     again = run_suite()
     assert suite.all_passed
@@ -198,8 +329,21 @@ Z_ENTRY_POINTS = {
 
 @pytest.mark.parametrize(
     "z",
-    [0, -1, math.nan, math.inf, mpmath.inf, "1", "abc", None, 1j, True],
-    ids=["0", "-1", "nan", "inf", "mpf-inf", "str-1", "str-abc", "None", "complex", "bool"],
+    [0, -1, F(-1, 3), math.nan, math.inf, mpmath.inf, "1", "abc", None, 1j, True, Decimal(1)],
+    ids=[
+        "0",
+        "-1",
+        "-1/3",
+        "nan",
+        "inf",
+        "mpf-inf",
+        "str-1",
+        "str-abc",
+        "None",
+        "complex",
+        "bool",
+        "decimal",
+    ],
 )
 @pytest.mark.parametrize("entry", sorted(Z_ENTRY_POINTS))
 def test_every_z_entry_point_rejects_z_outside_the_domain(entry, z):
@@ -217,8 +361,8 @@ TOL_ENTRY_POINTS = {
 
 @pytest.mark.parametrize(
     "tol",
-    [math.nan, -1.0, 0, math.inf, "1e-10", True],
-    ids=["nan", "-1", "0", "inf", "str", "bool"],
+    [math.nan, -1.0, 0, math.inf, -math.inf, "1e-10", None, True],
+    ids=["nan", "-1", "0", "inf", "-inf", "str", "None", "bool"],
 )
 @pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
 def test_every_tolerance_entry_point_rejects_a_tolerance_outside_0_inf(monkeypatch, entry, tol):
