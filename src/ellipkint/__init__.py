@@ -35,12 +35,7 @@ from .specialvalues import (
     make_exact_value,
     relation,
 )
-from .verify import (
-    CheckReport,
-    SuiteResult,
-    check_inner_closed_form,
-    run_suite,
-)
+from .verify import CheckReport, SuiteResult, run_suite
 
 __version__ = "0.1.0"
 
@@ -74,6 +69,5 @@ __all__ = [
     "exact_value_from_json",
     "CheckReport",
     "SuiteResult",
-    "check_inner_closed_form",
     "run_suite",
 ]

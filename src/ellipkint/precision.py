@@ -60,18 +60,27 @@ def check_tol(tol, name: str = "tol") -> None:
         raise DomainError(f"{name} must be positive and finite, got {tol}")
 
 
+def _is_a(x, kind) -> bool:
+    # a bool is an int, but True as a number argument is a slip, not a 1
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def is_real(x) -> bool:
     """The one rule for a real argument (z, k, t, a tolerance): a numbers.Real, not a bool.
 
-    mpf is registered as a Real.  A bool is one too, but True as a real
-    argument is a slip, not a 1.
+    mpf is registered as a Real.
     """
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    return _is_a(x, numbers.Real)
+
+
+def is_rational(x) -> bool:
+    """An exact rational argument (a special point's z or angle): an int or Fraction, not a bool."""
+    return _is_a(x, (int, Fraction))
 
 
 def _is_integer(x) -> bool:
-    # a bool is an Integral, but True as an index or a dps is a slip, not a 1
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    # an index or a dps
+    return _is_a(x, numbers.Integral)
 
 
 DEFAULT_PRECISION = Precision()

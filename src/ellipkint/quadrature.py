@@ -262,10 +262,9 @@ def integral_In_numeric_many(specs, prec: Precision = DEFAULT_PRECISION) -> list
 def _inner_domain(z_grid, t_grid) -> tuple[list[mpf], list[mpf]]:
     """The inner integral's arguments as mpf, each z > 0 and each t a real in [0, 1)."""
     zs = [check_z(z) for z in z_grid]
-    ts = [to_mpf(t) for t in t_grid if is_real(t)]
-    if len(ts) < len(t_grid) or not all(0 <= t < 1 for t in ts):
+    if not all(is_real(t) and 0 <= to_mpf(t) < 1 for t in t_grid):
         raise DomainError("t must lie in [0, 1)")
-    return zs, ts
+    return zs, [to_mpf(t) for t in t_grid]
 
 
 def _inner_closed(z: mpf, t: mpf, root_z: mpf, root_1z: mpf, root_t: mpf) -> mpf:

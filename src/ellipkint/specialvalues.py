@@ -16,15 +16,10 @@ import mpmath
 from mpmath import mpf
 
 from .closedform import closed_form
-from .precision import DEFAULT_PRECISION, DomainError, Precision, to_mpf
+from .precision import DEFAULT_PRECISION, DomainError, Precision, is_rational, to_mpf
 from .quadfield import UNIT_SURD, QuadExt, Surd, _polyval, surd_normalize
 
 _ZERO = QuadExt(Fraction(0))
-
-
-def _is_rational(x) -> bool:
-    # a bool is an int, but True as a point or an angle is a slip, not a 1
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -40,11 +35,11 @@ class SpecialPoint:
     theta_over_pi: Fraction
 
     def __post_init__(self):
-        if _is_rational(self.z):
+        if is_rational(self.z):
             object.__setattr__(self, "z", QuadExt._coerce(self.z))
         if not isinstance(self.z, QuadExt):
             raise DomainError(f"special point z must be a QuadExt, int or Fraction, got {self.z!r}")
-        if not _is_rational(self.theta_over_pi):
+        if not is_rational(self.theta_over_pi):
             raise DomainError(f"theta/pi must be an int or Fraction, got {self.theta_over_pi!r}")
         if self.z.sign() <= 0:
             raise DomainError("special point must have z > 0")

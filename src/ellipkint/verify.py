@@ -94,11 +94,12 @@ STRUCTURE_N_MAX = 12
 
 # A check that compares I_n(z) quadratures comes in two parts: the specs it
 # needs and a comparison that takes their values in the same order.
-# run_suite makes one batch of every part's specs and hands each part its
-# share, and the batch runs each distinct integral once.
+# run_suite, their one caller, makes one batch of every check's specs and
+# hands each comparison its share, and the batch runs each distinct integral
+# once.  perfbench traces these checks by their module names.
 
 
-def _identity(tol, prec):
+def check_identity(tol, prec):
     """|quadrature(LHS) - closed form(RHS)| for n <= IDENTITY_N_MAX over DEFAULT_Z_GRID."""
     specs = [IntegralSpec(n, z) for n in range(IDENTITY_N_MAX + 1) for z in DEFAULT_Z_GRID]
 
@@ -114,7 +115,7 @@ def _identity(tol, prec):
     return specs, compare
 
 
-def _derivative_step(n, z, prec):
+def check_derivative_step(n, z, prec):
     """Induction step of the derivative ladder by finite differences.
 
     I_{n+1}(z) must equal -2/(2n+3) * dI_n/dz; the derivative is estimated by
@@ -146,7 +147,7 @@ def _derivative_step(n, z, prec):
     return specs, compare
 
 
-def _order_swap(tol, prec):
+def check_order_swap(tol, prec):
     """Order-of-integration swap: iterated route vs direct quadrature over DEFAULT_Z_GRID."""
     specs = [IntegralSpec(0, z) for z in DEFAULT_Z_GRID]
 
@@ -216,7 +217,7 @@ def _published_tables() -> list[tuple[str, int, str, ExactValue, bool]]:
     ]
 
 
-def _audit(tol, prec):
+def audit_published_tables(tol, prec):
     """Compare the exact engine against every published identity.
 
     All entries must match exactly except the I_2(3) one, whose printed surd
@@ -275,7 +276,7 @@ def _z1_decomposition(k: int):
     return value.alg_coeff.a, value.pi_coeff.a
 
 
-def _relations(tol, prec):
+def check_relations(tol, prec):
     """Pairwise rational relations between sqrt(2)*I_n(1) values, n <= RELATIONS_MAX_INDEX.
 
     Exactness: every (a_k, b_k) that in1_pair reads off the closed form must
@@ -359,13 +360,15 @@ def run_suite(tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION) -> SuiteR
     runs.
     """
     check_tol(tol)
-    ladder = [_derivative_step(n, z, prec) for n in range(LADDER_N_MAX + 1) for z in LADDER_Z_GRID]
+    ladder = [
+        check_derivative_step(n, z, prec) for n in range(LADDER_N_MAX + 1) for z in LADDER_Z_GRID
+    ]
     parts = [
-        _identity(tol, prec),
-        _order_swap(tol, prec),
+        check_identity(tol, prec),
+        check_order_swap(tol, prec),
         *ladder,
-        _audit(tol, prec),
-        _relations(tol, prec),
+        audit_published_tables(tol, prec),
+        check_relations(tol, prec),
     ]
     results = integral_In_numeric_many([spec for specs, _ in parts for spec in specs], prec)
     values = (result.value for result in results)

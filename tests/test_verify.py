@@ -17,7 +17,6 @@ from ellipkint import (
     Precision,
     QuadExt,
     ToleranceNotReached,
-    check_inner_closed_form,
     closed_form,
     eval_at_special,
     inner_integral_closed,
@@ -27,7 +26,7 @@ from ellipkint import (
     run_suite,
 )
 from ellipkint import quadrature, verify
-from ellipkint.precision import check_index, check_z, to_mpf
+from ellipkint.precision import to_mpf
 from ellipkint.verify import check_exact_to_float, check_structure
 
 F = Fraction
@@ -209,45 +208,13 @@ def test_a_planted_fault_fails_exactly_the_checks_that_compare_it(monkeypatch, f
     assert suite.exit_status == 3
 
 
-# the rules the checks' arguments were held to, now kept by the constants
-@pytest.mark.parametrize("grid", ["DEFAULT_Z_GRID", "LADDER_Z_GRID", "INNER_Z_GRID"])
-def test_every_fixed_z_grid_is_nonempty_and_in_the_domain(grid):
-    zs = getattr(verify, grid)
-    assert zs and len(set(zs)) == len(zs)
-    for z in zs:
-        check_z(z)  # raises DomainError outside the domain
-
-
-def test_inner_t_grid_is_nonempty_and_in_0_1():
-    ts = verify.INNER_T_GRID
-    assert ts and len(set(ts)) == len(ts)
-    assert all(0 <= t < 1 for t in ts)
-
-
-@pytest.mark.parametrize(
-    "order", ["IDENTITY_N_MAX", "LADDER_N_MAX", "RELATIONS_MAX_INDEX", "STRUCTURE_N_MAX"]
-)
-def test_every_fixed_order_is_a_nonnegative_integer(order):
-    check_index(getattr(verify, order))  # raises DomainError otherwise
-
-
-def test_exact_n_grid_holds_distinct_indices():
-    grid = verify.EXACT_N_GRID
-    assert grid and len(set(grid)) == len(grid)
-    for n in grid:
-        check_index(n)
-
-
-def test_ladder_step_lies_inside_0_z():
-    # a central difference at z needs both z + h and z - h inside the domain
-    assert 0 < verify.DEFAULT_STEP < min(verify.LADDER_Z_GRID)
-
-
 def test_derivative_ladder_names_z_as_given(suite):
     reports = reports_named(suite, "derivative ladder")
     assert len(reports) == (verify.LADDER_N_MAX + 1) * len(verify.LADDER_Z_GRID)
     assert reports[0].name == "derivative ladder n=0 -> 1 at z=1/3"
     assert all(r.tolerance == verify.LADDER_REL_TOL for r in reports)
+    # a central difference at z needs both z + h and z - h inside the domain
+    assert 0 < verify.DEFAULT_STEP < min(verify.LADDER_Z_GRID)
 
 
 # sha256 of `ellipkint verify --format json` (the default suite, indent=2),
@@ -355,7 +322,7 @@ def test_every_z_entry_point_rejects_z_outside_the_domain(entry, z):
 # tolerance; Precision.abs_tol, under the same rule, has its own test
 TOL_ENTRY_POINTS = {
     "run_suite": lambda tol: run_suite(tol=tol),
-    "check_inner_closed_form": lambda tol: check_inner_closed_form(tol=tol),
+    "check_inner_closed_form": lambda tol: verify.check_inner_closed_form(tol=tol),
 }
 
 
