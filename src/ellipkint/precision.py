@@ -57,7 +57,7 @@ def check_tol(tol, name: str = "tol") -> None:
     """A tolerance must be a real number with 0 < tol < inf."""
     # the negated test also rejects nan, for which every comparison is false
     if not is_real(tol) or not 0 < tol < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {tol}")
+        raise DomainError(f"{name} must be positive and finite, got {shown(tol)}")
 
 
 def _is_a(x, kind) -> bool:
@@ -71,6 +71,14 @@ def is_real(x) -> bool:
     mpf is registered as a Real.
     """
     return _is_a(x, numbers.Real)
+
+
+def shown(x) -> str:
+    """x as an error message prints it: a real as its value, anything else by type and repr.
+
+    A string "1" then reads "got str '1'", not as if the number 1 were rejected.
+    """
+    return str(x) if is_real(x) else f"{type(x).__name__} {x!r}"
 
 
 def is_rational(x) -> bool:
@@ -96,7 +104,7 @@ def check_z(z) -> mpf:
     """The shift parameter z as mpf at the current precision; it must be a positive finite real."""
     # the negated test also rejects nan, for which every comparison is false
     if not is_real(z) or not 0 < (value := to_mpf(z)) < mpmath.inf:
-        raise DomainError(f"shift parameter z must be positive and finite, got {z}")
+        raise DomainError(f"shift parameter z must be positive and finite, got {shown(z)}")
     return value
 
 

@@ -158,18 +158,6 @@ class QuadExt:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return QuadExt(1) / self ** (-exponent)
-        result = QuadExt(Fraction(1))
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -260,22 +248,47 @@ def _over_common_denominator(x: QuadExt) -> tuple[int, int, int]:
     return x.a.numerator * (r // x.a.denominator), x.b.numerator * (r // x.b.denominator), r
 
 
-def _polyval(coefficients, z: QuadExt) -> QuadExt:
-    """sum(c * z**i for i, c in enumerate(coefficients)) for integer c, exactly.
+def _polyval_pair(coefficients, p: int, q: int, r: int, d: int) -> tuple[int, int, int]:
+    """Integers (P, Q, s) with sum(c * z**i) == (P + Q*sqrt(d))/s at z = (p + q*sqrt(d))/r.
 
-    With z = (p + q*sqrt(d))/r over one common denominator r, Horner runs on
-    the integer pair (P, Q) of (P + Q*sqrt(d))/r**k, and only the final value
-    becomes Fractions.  An empty tuple is the zero polynomial.
+    Horner's rule on the integer pair; s is r**deg.  An empty tuple is the
+    zero polynomial, (0, 0, 1).
     """
     if not coefficients:
-        return QuadExt(Fraction(0))
-    p, q, r = _over_common_denominator(z)
-    qd = q * z.d
+        return 0, 0, 1
+    qd = q * d
     P, Q, scale = coefficients[-1], 0, 1
     for c in reversed(coefficients[:-1]):
         scale *= r
         P, Q = P * p + Q * qd + c * scale, P * q + Q * p
+    return P, Q, scale
+
+
+def _polyval(coefficients, z: QuadExt) -> QuadExt:
+    """sum(c * z**i for i, c in enumerate(coefficients)) for integer c, exactly.
+
+    Horner runs on integers over z's common denominator (_polyval_pair), and
+    only the final value becomes Fractions.
+    """
+    P, Q, scale = _polyval_pair(coefficients, *_over_common_denominator(z), z.d)
     return QuadExt(Fraction(P, scale), Fraction(Q, scale), z.d)
+
+
+def _pair_mul(x: tuple[int, int], y: tuple[int, int], d: int) -> tuple[int, int]:
+    """(P, Q) with (x0 + x1*sqrt(d))*(y0 + y1*sqrt(d)) == P + Q*sqrt(d)."""
+    return x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0]
+
+
+def _pair_pow(x: tuple[int, int], n: int, d: int) -> tuple[int, int]:
+    """(P, Q) with (x0 + x1*sqrt(d))**n == P + Q*sqrt(d) for n >= 0, by binary powering."""
+    result = (1, 0)
+    while n:
+        if n & 1:
+            result = _pair_mul(result, x, d)
+        n >>= 1
+        if n:
+            x = _pair_mul(x, x, d)
+    return result
 
 
 def surd_normalize(s: Surd) -> tuple[QuadExt, Surd]:

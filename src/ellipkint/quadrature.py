@@ -33,6 +33,7 @@ from .precision import (
     check_index,
     check_z,
     is_real,
+    shown,
     to_mpf,
 )
 
@@ -262,8 +263,11 @@ def integral_In_numeric_many(specs, prec: Precision = DEFAULT_PRECISION) -> list
 def _inner_domain(z_grid, t_grid) -> tuple[list[mpf], list[mpf]]:
     """The inner integral's arguments as mpf, each z > 0 and each t a real in [0, 1)."""
     zs = [check_z(z) for z in z_grid]
-    if not all(is_real(t) and 0 <= to_mpf(t) < 1 for t in t_grid):
-        raise DomainError("t must lie in [0, 1)")
+    for t in t_grid:
+        if not is_real(t):
+            raise DomainError(f"t must lie in [0, 1), got {shown(t)}")
+        if not 0 <= to_mpf(t) < 1:
+            raise DomainError("t must lie in [0, 1)")
     return zs, [to_mpf(t) for t in t_grid]
 
 

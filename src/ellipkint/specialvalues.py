@@ -11,15 +11,53 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf
 
 from .closedform import closed_form
 from .precision import DEFAULT_PRECISION, DomainError, Precision, is_rational, to_mpf
-from .quadfield import UNIT_SURD, QuadExt, Surd, _polyval, surd_normalize
+from .quadfield import (
+    UNIT_SURD,
+    QuadExt,
+    Surd,
+    _over_common_denominator,
+    _pair_mul,
+    _pair_pow,
+    _polyval_pair,
+    surd_normalize,
+)
 
 _ZERO = QuadExt(Fraction(0))
+
+
+class _PointConstants(NamedTuple):
+    """What eval_at_special needs of a point for every n.
+
+    Each triple (p, q, r) is the value (p + q*sqrt(d))/r in integers.
+    """
+
+    d: int
+    z: tuple[int, int, int]
+    u: tuple[int, int, int]  # 1/(z(z+1))
+    pi_factor: tuple[int, int, int]  # theta/pi over the multiplier of sqrt(z(z+1))
+    pi_surd: Surd
+    alg_factor: tuple[int, int, int]  # 1 over the multiplier of sqrt(z+1)
+    alg_surd: Surd
+
+    def term(self, coefficients, u_n, num: int, den: int, factor, surd) -> tuple[QuadExt, Surd]:
+        """(num/den) * poly(z) * u_n * factor with surd, (_ZERO, UNIT_SURD) when poly(z) == 0.
+
+        u_n is an integer pair; den already carries u_n's denominator.
+        """
+        P, Q, scale = _polyval_pair(coefficients, *self.z, self.d)
+        if P == 0 and Q == 0:
+            return _ZERO, UNIT_SURD
+        P, Q = _pair_mul((P, Q), _pair_mul(u_n, factor[:2], self.d), self.d)
+        den *= scale * factor[2]
+        return QuadExt(Fraction(num * P, den), Fraction(num * Q, den), self.d), surd
 
 
 @dataclass(frozen=True)
@@ -49,6 +87,27 @@ class SpecialPoint:
             gap = mpmath.acot(mpmath.sqrt(self.z.to_mpf())) - mpmath.pi * to_mpf(self.theta_over_pi)
             if abs(gap) > mpf(10) ** -DEFAULT_PRECISION.dps:
                 raise DomainError(f"ArcCot(sqrt({self.z})) is not {self.theta_over_pi}*pi")
+
+    @cached_property
+    def _constants(self) -> _PointConstants:
+        """eval_at_special's n-independent parts, built on first use.
+
+        The cache sits in the instance __dict__, outside the dataclass fields,
+        so it enters neither equality nor the hash.
+        """
+        zp1 = self.z + 1
+        w = self.z * zp1
+        w_multiplier, w_surd = surd_normalize(Surd(w))
+        zp1_multiplier, zp1_surd = surd_normalize(Surd(zp1))
+        return _PointConstants(
+            self.z.d,
+            _over_common_denominator(self.z),
+            _over_common_denominator(1 / w),
+            _over_common_denominator(self.theta_over_pi / w_multiplier),
+            w_surd,
+            _over_common_denominator(1 / zp1_multiplier),
+            zp1_surd,
+        )
 
 
 CATALOG: dict[str, SpecialPoint] = {
@@ -98,21 +157,32 @@ def _normalized_term(raw, radical) -> tuple[QuadExt, Surd]:
 
 def make_exact_value(pi_raw, pi_radical, alg_raw, alg_radical) -> ExactValue:
     """pi_raw*pi/sqrt(pi_radical) + alg_raw/sqrt(alg_radical); each a QuadExt, int or Fraction."""
+    named = {"pi_raw": pi_raw, "pi_radical": pi_radical, "alg_raw": alg_raw, "alg_radical": alg_radical}
+    for name, x in named.items():
+        if not (isinstance(x, QuadExt) or is_rational(x)):
+            raise DomainError(f"{name} must be a QuadExt, int or Fraction, got {type(x).__name__} {x!r}")
     pi_coeff, pi_surd = _normalized_term(pi_raw, pi_radical)
     alg_coeff, alg_surd = _normalized_term(alg_raw, alg_radical)
     return ExactValue(pi_coeff, pi_surd, alg_coeff, alg_surd)
 
 
 def eval_at_special(n: int, point: SpecialPoint) -> ExactValue:
-    """Exact I_n(z) at a special point, via the closed-form recurrence."""
+    """Exact I_n(z) at a special point, via the closed-form recurrence.
+
+    With u = 1/(z(z+1)) the closed form reads
+        prefactor * u**n * (theta*A_n(z)*pi/sqrt(z(z+1)) + B_n(z)/sqrt(z+1)).
+    A_n(z), B_n(z) and u**n are integer pairs of (P + Q*sqrt(d))/s, and each
+    coefficient becomes Fractions once, at the end.
+    """
     form = closed_form(n)
-    z = point.z
-    zp1 = z + 1
-    power = (z * zp1) ** n
-    prefactor = form.prefactor  # Fraction
-    pi_raw = prefactor * point.theta_over_pi * _polyval(form.A, z) / power
-    alg_raw = prefactor * _polyval(form.B, z) / power
-    return make_exact_value(pi_raw, z * zp1, alg_raw, zp1)
+    c = point._constants
+    prefactor = form.prefactor
+    u_n = _pair_pow(c.u[:2], n, c.d)
+    num, den = prefactor.numerator, prefactor.denominator * c.u[2] ** n
+    return ExactValue(
+        *c.term(form.A, u_n, num, den, c.pi_factor, c.pi_surd),
+        *c.term(form.B, u_n, num, den, c.alg_factor, c.alg_surd),
+    )
 
 
 def relation(n: int, m: int) -> tuple[Fraction, Fraction]:

@@ -6,8 +6,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from ellipkint import DEFAULT_PRECISION
-from ellipkint.precision import is_real, to_mpf
+from ellipkint import DEFAULT_PRECISION, DomainError, ellip_k
+from ellipkint.precision import check_tol, check_z, is_real, to_mpf
+from ellipkint.quadrature import IntegralSpec, inner_integral_closed
 
 
 def _floor_log2(x: Fraction) -> int:
@@ -49,3 +50,39 @@ def test_is_real_takes_every_real_number_type(x):
 )
 def test_is_real_refuses_what_is_not_a_real_number(x):
     assert not is_real(x)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: IntegralSpec(0, "1"), "shift parameter z must be positive and finite, got str '1'"),
+        (lambda: check_z(None), "shift parameter z must be positive and finite, got NoneType None"),
+        (lambda: check_z(True), "shift parameter z must be positive and finite, got bool True"),
+        (lambda: ellip_k("0.5"), "modulus must satisfy 0 <= k < 1, got str '0.5'"),
+        (lambda: inner_integral_closed(1, "0.5"), "t must lie in [0, 1), got str '0.5'"),
+        (lambda: check_tol("1e-6"), "tol must be positive and finite, got str '1e-6'"),
+    ],
+    ids=["z-str", "z-None", "z-bool", "k-str", "t-str", "tol-str"],
+)
+def test_a_non_real_argument_is_named_by_type_and_repr(call, message):
+    # "got 1" for the string "1" would read as if the number 1 were rejected
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: check_z(-1), "shift parameter z must be positive and finite, got -1"),
+        (lambda: check_z(Fraction(-1)), "shift parameter z must be positive and finite, got -1"),
+        (lambda: ellip_k(1.5), "modulus must satisfy 0 <= k < 1, got 1.5"),
+        (lambda: inner_integral_closed(1, 1.5), "t must lie in [0, 1)"),
+        (lambda: check_tol(-1), "tol must be positive and finite, got -1"),
+    ],
+    ids=["z-int", "z-fraction", "k-float", "t-float", "tol-int"],
+)
+def test_a_real_argument_out_of_range_is_printed_as_its_value(call, message):
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == message

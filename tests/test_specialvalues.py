@@ -17,7 +17,8 @@ from ellipkint import (
     make_exact_value,
     relation,
 )
-from ellipkint.quadfield import UNIT_SURD
+from ellipkint.closedform import closed_form
+from ellipkint.quadfield import UNIT_SURD, _polyval
 from ellipkint.specialvalues import in1_pair
 
 F = Fraction
@@ -98,6 +99,47 @@ def test_exact_matches_floating_route():
             with mpmath.workdps(330):
                 reference = In_exact_real(n, point.z.to_mpf(), Precision(dps=320))
                 assert abs(exact / reference - 1) < mpf("1e-55"), (point.label, n)
+
+
+# z = Cot^2(theta*pi) in Q(sqrt(d)) beyond the catalog: d = 2, negative b, and
+# the irrational multipliers 1+(3/5)*sqrt(5) and -1+sqrt(5)
+EXTRA_POINTS = (
+    SpecialPoint("cot2-pi-8", qe(3, 2, 2), F(1, 8)),
+    SpecialPoint("cot2-3pi-8", qe(3, -2, 2), F(3, 8)),
+    SpecialPoint("cot2-pi-5", qe(1, F(2, 5), 5), F(1, 5)),
+    SpecialPoint("cot2-2pi-5", qe(1, F(-2, 5), 5), F(2, 5)),
+    SpecialPoint("cot2-3pi-10", qe(5, -2, 5), F(3, 10)),
+    SpecialPoint("cot2-5pi-12", qe(7, -4, 3), F(5, 12)),
+)
+
+
+@pytest.mark.parametrize("point", [*CATALOG.values(), *EXTRA_POINTS], ids=lambda p: p.label)
+def test_eval_at_special_matches_field_arithmetic(point):
+    # the reference divides by (z(z+1))**n in QuadExt arithmetic and
+    # normalizes both surds in make_exact_value at every n
+    z = point.z
+    w = z * (z + 1)
+    power = QuadExt(1)
+    for n in range(121):
+        form = closed_form(n)
+        expected = make_exact_value(
+            form.prefactor * point.theta_over_pi * _polyval(form.A, z) / power,
+            w,
+            form.prefactor * _polyval(form.B, z) / power,
+            z + 1,
+        )
+        assert eval_at_special(n, point) == expected, n
+        power *= w
+
+
+def test_per_point_constants_stay_out_of_equality_and_hash():
+    fresh = SpecialPoint("cot2-pi-10", qe(5, 2, 5), F(1, 10))
+    used = SpecialPoint("cot2-pi-10", qe(5, 2, 5), F(1, 10))
+    eval_at_special(3, used)
+    assert "_constants" in vars(used) and "_constants" not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert {used: 1}[fresh] == 1
+    assert used != SpecialPoint("other", qe(5, 2, 5), F(1, 10))
 
 
 def test_self_relation():
@@ -221,6 +263,16 @@ def test_make_exact_value_factors_large_radicals_with_small_prime_factors():
     assert (v.pi_coeff, v.pi_surd) == (qe(F(1, 2**20)), UNIT_SURD)
     v = make_exact_value(1, F(65537, 65536), 0, 1)
     assert (v.pi_coeff, v.pi_surd) == (qe(256), Surd(qe(65537)))
+
+
+@pytest.mark.parametrize("bad", [0.5, "1", True, None], ids=["float", "str", "bool", "None"])
+@pytest.mark.parametrize("position", range(4), ids=["pi_raw", "pi_radical", "alg_raw", "alg_radical"])
+def test_make_exact_value_rejects_what_is_not_exact_as_a_domain_error(bad, position):
+    # never a bare TypeError, and True is not taken as 1
+    args = [1, 2, 1, 3]
+    args[position] = bad
+    with pytest.raises(DomainError, match="must be a QuadExt, int or Fraction"):
+        make_exact_value(*args)
 
 
 def test_make_exact_value_takes_rationals():
