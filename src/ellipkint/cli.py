@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from .closedform import In_exact_real
-from .precision import DomainError, Precision, ToleranceNotReached, check_z
+from .precision import DomainError, Precision, ToleranceNotReached, check_z, clipped, shown
 from .quadrature import IntegralSpec, integral_In_numeric
 from .render import render, render_quadext
 from .specialvalues import CATALOG, eval_at_special, relation
@@ -46,18 +46,16 @@ def _parse_z(text: str) -> Fraction:
         huge = bool(e) and abs(int(exponent)) > MAX_Z_DIGITS
         z = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse z value {text!r}") from exc
+        raise DomainError(f"cannot parse z value {clipped(repr(text))}") from exc
     if huge or max(z.numerator, z.denominator) >= 10**MAX_Z_DIGITS:
-        raise DomainError(
-            f"z must have at most {MAX_Z_DIGITS} digits in numerator and denominator"
-        )
+        raise DomainError(f"z must have at most {MAX_Z_DIGITS} digits in numerator and denominator")
     check_z(z)
     return z
 
 
 def _check_index(flag: str, value: int) -> None:
     if not 0 <= value <= MAX_N:
-        raise DomainError(f"{flag} must lie in 0..{MAX_N}, got {value}")
+        raise DomainError(f"{flag} must lie in 0..{MAX_N}, got {shown(value)}")
 
 
 def _tol(args):
@@ -68,7 +66,7 @@ def _tol(args):
     try:
         return float(text)
     except ValueError:
-        raise DomainError(f"ELLIPKINT_TOL must be a number, got {text!r}") from None
+        raise DomainError(f"ELLIPKINT_TOL must be a number, got {clipped(repr(text))}") from None
 
 
 def _precision(tol) -> Precision:
@@ -82,7 +80,7 @@ def _emit(args, text: str):
             with open(out, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise DomainError(f"cannot write {out}: {exc.strerror}") from exc
+            raise DomainError(f"cannot write {clipped(out)}: {exc.strerror}") from exc
     else:
         print(text)
 
@@ -112,9 +110,7 @@ def cmd_eval(args) -> int:
 def _point(label: str):
     point = CATALOG.get(label)
     if point is None:
-        raise DomainError(
-            f"unknown special point {label!r}; choose from {sorted(CATALOG)}"
-        )
+        raise DomainError(f"unknown special point {clipped(repr(label))}; choose from {sorted(CATALOG)}")
     return point
 
 
@@ -175,8 +171,15 @@ def cmd_verify(args) -> int:
     return result.exit_status
 
 
+class _Parser(argparse.ArgumentParser):
+    # a bad argument is one short line like every usage error, not argparse's
+    # usage block with the rejected value echoed whole
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {clipped(message, 120)}; see {self.prog} --help\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ellipkint",
         description="Evaluate and cross-verify the integral family "
         "I_n(z) = ∫₀¹ K(k)·k/(z+k²)^(n+3/2) dk",

@@ -80,7 +80,7 @@ def _horner(coefficients, x):
     """sum(c * x**i for i, c in enumerate(coefficients)); x is mpf, or any ring element.
 
     In_exact_real runs it on mpf; on a QuadExt it is the step-by-step
-    reference for quadfield._polyval.
+    reference for quadfield._polyval_pair.
     """
     value = 0
     for c in reversed(coefficients):

@@ -73,12 +73,18 @@ def is_real(x) -> bool:
     return _is_a(x, numbers.Real)
 
 
+def clipped(text: str, width: int = 80) -> str:
+    """text whole up to `width` characters; longer, its first width // 2, '…' and its length."""
+    return text if len(text) <= width else f"{text[: width // 2]}… ({len(text)} characters)"
+
+
 def shown(x) -> str:
     """x as an error message prints it: a real as its value, anything else by type and repr.
 
-    A string "1" then reads "got str '1'", not as if the number 1 were rejected.
+    A string "1" then reads "got str '1'", not as if the number 1 were rejected;
+    a value of a thousand digits reads as its head and its length.
     """
-    return str(x) if is_real(x) else f"{type(x).__name__} {x!r}"
+    return clipped(str(x) if is_real(x) else f"{type(x).__name__} {x!r}")
 
 
 def is_rational(x) -> bool:

@@ -59,6 +59,18 @@ def _sqrt_fraction(q: Fraction) -> Optional[Fraction]:
     return None
 
 
+def _pair_sign(a, b, d: int) -> int:
+    """Sign of a + b*sqrt(d) for int or Fraction a, b, exactly; with d = 1 only if b == 0.
+
+    With equal signs or a zero part the sign is the nonzero one; with mixed
+    signs it is the sign of a when a**2 > b**2*d, else that of b.
+    """
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if a * a > b * b * d else sb
+
+
 @dataclass(frozen=True)
 class QuadExt:
     """a + b*sqrt(d) with rational a, b; d a square-free int in [1, 2**32), d=1 rational."""
@@ -168,20 +180,7 @@ class QuadExt:
 
     def sign(self) -> int:
         """Sign of the real value a + b*sqrt(d), computed exactly."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # mixed signs: compare a^2 with b^2 d
-        lhs = self.a * self.a
-        rhs = self.b * self.b * self.d
-        if self.a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return 1 if lhs < rhs else -1  # a < 0, b > 0
+        return _pair_sign(self.a, self.b, self.d)
 
     def __abs__(self) -> "QuadExt":
         return self if self.sign() >= 0 else -self
@@ -262,16 +261,6 @@ def _polyval_pair(coefficients, p: int, q: int, r: int, d: int) -> tuple[int, in
         scale *= r
         P, Q = P * p + Q * qd + c * scale, P * q + Q * p
     return P, Q, scale
-
-
-def _polyval(coefficients, z: QuadExt) -> QuadExt:
-    """sum(c * z**i for i, c in enumerate(coefficients)) for integer c, exactly.
-
-    Horner runs on integers over z's common denominator (_polyval_pair), and
-    only the final value becomes Fractions.
-    """
-    P, Q, scale = _polyval_pair(coefficients, *_over_common_denominator(z), z.d)
-    return QuadExt(Fraction(P, scale), Fraction(Q, scale), z.d)
 
 
 def _pair_mul(x: tuple[int, int], y: tuple[int, int], d: int) -> tuple[int, int]:

@@ -255,7 +255,7 @@ def integral_In_numeric_many(specs, prec: Precision = DEFAULT_PRECISION) -> list
     for spec, result in zip(specs, results):
         if not result.converged:
             raise ToleranceNotReached(
-                f"I_{spec.n}({spec.z}) did not reach abs_tol={prec.abs_tol}", result
+                f"I_{spec.n}({shown(spec.z)}) did not reach abs_tol={prec.abs_tol}", result
             )
     return results
 
@@ -314,7 +314,7 @@ def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECIS
         if not result.converged:
             iz, it = divmod(i, width)
             raise ToleranceNotReached(
-                f"inner integral at (z={z_grid[iz]}, t={t_grid[it]}) did not converge", result
+                f"inner integral at (z={shown(z_grid[iz])}, t={shown(t_grid[it])}) did not converge", result
             )
     return [[r.value for r in results[iz * width : (iz + 1) * width]] for iz in range(len(zs))]
 
@@ -335,5 +335,5 @@ def I0_via_swap(z, prec: Precision = DEFAULT_PRECISION) -> mpf:
 
         result = tanh_sinh_integrate(integrand, prec)
         if not result.converged:
-            raise ToleranceNotReached(f"I0_via_swap({z}) did not converge", result)
+            raise ToleranceNotReached(f"I0_via_swap({shown(z)}) did not converge", result)
         return result.value

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 from .precision import DomainError
-from .quadfield import QuadExt, Surd, _over_common_denominator
+from .quadfield import QuadExt, Surd, _over_common_denominator, _pair_sign
 from .specialvalues import ExactValue
 
 FORMATS = ("text", "latex", "json")
@@ -56,8 +56,9 @@ def render_quadext(r: QuadExt, format: str = "text") -> str:
 
 
 def _term(coeff: QuadExt, surd: Surd, with_pi: bool, style: dict) -> tuple[int, str]:
-    sign = coeff.sign()
-    na, nb, q = _over_common_denominator(abs(coeff))
+    na, nb, q = _over_common_denominator(coeff)
+    sign = _pair_sign(na, nb, coeff.d)
+    na, nb = sign * na, sign * nb  # |coeff| over the same denominator
     numerator = _field_element(na, nb, coeff.d, style)
     if nb:
         numerator = f"({numerator})"

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import time
 
 import pytest
@@ -277,14 +278,16 @@ def test_out_file_unwritable(tmp_path, capsys):
 
 # sha256 of the whole stdout, keyed by (max_n, format).  The n <= 12 digests
 # are pinned from the output before the text and LaTeX renderers were merged
-# into one, the n <= 100 digests from the output before polynomials at special
-# points were evaluated over integers.
+# into one, the n <= 100 text and JSON digests from the output before
+# polynomials at special points were evaluated over integers, and the n <= 100
+# LaTeX digest from the output before render split each coefficient once.
 TABLE_DIGESTS = {
     (12, "text"): "cb9087f8f1ace09d92e77289fe6cb318d65a3dc5b850e7dff5c5ee4c34ab33e9",
     (12, "latex"): "ecf0048ee8e7e7922d0535bb598d4097a67fa92e539a8c550c1f0cd33b34a98e",
     (12, "json"): "b09739e255ae3b10521c84f11c613c5cc846f224d818b1b3fdaf2bfd1fd95980",
     (100, "text"): "850c9c3caa4c70390683c31e2383c9bdc09d90c4bd000a54fb56d3d43b4183a3",
     (100, "json"): "3b2df51515fd06a80defc0daa7d76ef3b1d01bdd6a499130028c4ac07ce5a012",
+    (100, "latex"): "2e17a5ea02780f059196c75b5c85ffa138279fe522012345b13675ac1a55ceea",
 }
 
 
@@ -362,9 +365,8 @@ def env_tolerance(value):
             os.environ["ELLIPKINT_TOL"] = saved
 
 
-@given(invocations())
-def test_exit_code_contract_fuzz(case):
-    argv, env_tol = case
+def invoke(argv, env_tol=None) -> tuple[int, str]:
+    """main(argv) with ELLIPKINT_TOL set to env_tol (unset for None): its exit code and stderr."""
     err = io.StringIO()
     with env_tolerance(env_tol), contextlib.redirect_stdout(io.StringIO()):
         with contextlib.redirect_stderr(err):
@@ -372,6 +374,93 @@ def test_exit_code_contract_fuzz(case):
                 code = main(argv)
             except SystemExit as exc:  # argparse rejects malformed arguments
                 code = exc.code
+    return code, err.getvalue()
+
+
+@given(invocations())
+def test_exit_code_contract_fuzz(case):
+    code, err = invoke(*case)
     assert code in (0, 2, 3)
     if code != 0:
-        assert "error: " in err.getvalue() or "numeric failure: " in err.getvalue()
+        assert "error: " in err or "numeric failure: " in err
+
+
+# -- a seeded sweep of argument vectors ----------------------------------------
+# Every vector keeps the exit-code contract with a short message: exit 0, 2 or
+# 3, no traceback and at most 200 characters on stderr, whatever it echoes.
+
+BAD_NUMBERS = [
+    "", "abc", "nan", "inf", "-inf", "0", "-0", "-1", "1/0", "0x10", "1e", "1.5.2", "½",
+    "1e999", "-1e999", "1e-999", "-1e-999", "1e1001", "1e999999999",
+    "7" * 4000, "-" + "7" * 4000, "7" * 5000, "1/" + "3" * 1200, "x" * 1000,
+]  # fmt: skip
+
+# one valid invocation per command; each vector changes some of its flags
+VALID = {
+    "eval": {"--n": "0", "--z": "1", "--method": "exact"},
+    "identity": {"--n": "0", "--point": "1"},
+    "table": {"--max-n": "2", "--points": "1"},
+    "relation": {"--n": "2", "--m": "0"},
+    "verify": {},
+}
+INDEX_FLAGS = [("eval", "--n"), ("identity", "--n"), ("table", "--max-n"), ("relation", "--n"), ("relation", "--m")]
+
+
+def vector(command, changes=()):
+    """argv for `command`: its VALID flags, with `changes` ({flag: value}) applied.
+
+    Each is one "--flag=value" word, so argparse reads "-1e999" as a value.
+    """
+    flags = {**VALID[command], **dict(changes)}
+    return [command, *(f"{flag}={value}" for flag, value in flags.items())]
+
+
+def sweep_vectors(tmp_path) -> list:
+    """(argv, ELLIPKINT_TOL or None) pairs: every rule at its edges, then seeded mixtures."""
+    rng = random.Random(20211)
+    edges = ["0", str(MAX_N), str(MAX_N + 1)]
+    cases = [
+        vector(command, {flag: value})
+        for command, flag in INDEX_FLAGS
+        for value in edges + rng.sample(BAD_NUMBERS, 4)
+    ]
+    cases += [
+        vector("eval", {"--z": z, "--method": method})
+        for z in BAD_NUMBERS
+        for method in ("numeric", "exact", "both")
+    ]
+    cases += [vector("eval", {"--tol": tol}) for tol in BAD_NUMBERS]
+    cases += [vector(command, {"--format": fmt}) for command in VALID for fmt in ("text", "latex", "json", "x" * 300)]
+    cases += [vector("identity", {"--point": point}) for point in ("2", "x" * 1000)]
+    cases += [vector("table", {"--points": points}) for points in ("", ",", "1,2", "1," + "y" * 1000)]
+    # unwritable: a missing directory, a directory, a name too long for the file system
+    cases += [vector(command, {"--out": str(tmp_path / "missing" / "x")}) for command in VALID]
+    cases += [vector("eval", {"--out": out}) for out in (str(tmp_path), str(tmp_path / ("o" * 1000)))]
+    cases = [(argv, None) for argv in cases]
+    cases += [(vector(rng.choice(["eval", "verify"])), tol) for tol in BAD_NUMBERS if tol != "1e-999"]
+    for _ in range(40):
+        command = rng.choice(sorted(VALID))
+        values = [*edges[:1], "3", *edges[2:], *BAD_NUMBERS]
+        changes = {flag: rng.choice(values) for flag in VALID[command] if rng.random() < 0.5}
+        cases.append((vector(command, changes), rng.choice([None, None, "1e-6", *BAD_NUMBERS])))
+    return cases
+
+
+def test_cli_argument_sweep(tmp_path):
+    start = time.perf_counter()
+    codes = set()
+    for argv, env_tol in sweep_vectors(tmp_path):
+        code, err = invoke(argv, env_tol)
+        codes.add(code)
+        assert code in (0, 2, 3), (argv, env_tol)
+        assert "Traceback" not in err and len(err) <= 200, (err, argv, env_tol)
+    assert codes == {0, 2, 3}
+    assert time.perf_counter() - start < 3
+
+
+@pytest.mark.parametrize("z, code", [("1e-999", 3), ("-1e999", 2)])
+def test_a_thousand_digit_z_is_clipped_in_the_message(capsys, z, code):
+    # both messages used to carry z's 1000 digits whole
+    status, _, err = run(capsys, "eval", "--n", "0", f"--z={z}")
+    assert status == code
+    assert len(err) <= 200 and "characters)" in err

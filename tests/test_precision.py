@@ -6,9 +6,15 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from ellipkint import DEFAULT_PRECISION, DomainError, ellip_k
-from ellipkint.precision import check_tol, check_z, is_real, to_mpf
-from ellipkint.quadrature import IntegralSpec, inner_integral_closed
+from ellipkint import DEFAULT_PRECISION, DomainError, Precision, ToleranceNotReached, ellip_k
+from ellipkint.precision import check_tol, check_z, is_real, shown, to_mpf
+from ellipkint.quadrature import (
+    I0_via_swap,
+    IntegralSpec,
+    inner_integral_closed,
+    inner_integral_numeric_grid,
+    integral_In_numeric_many,
+)
 
 
 def _floor_log2(x: Fraction) -> int:
@@ -86,3 +92,31 @@ def test_a_real_argument_out_of_range_is_printed_as_its_value(call, message):
     with pytest.raises(DomainError) as caught:
         call()
     assert str(caught.value) == message
+
+
+def test_shown_clips_a_long_value_to_its_head_and_length():
+    assert shown(10**79) == "1" + "0" * 79  # 80 characters print whole
+    assert shown(10**80) == "1" + "0" * 39 + "… (81 characters)"
+    assert shown("x" * 100) == "str '" + "x" * 35 + "… (106 characters)"
+    assert shown(Fraction(-1, 3)) == "-1/3"
+
+
+TINY = Fraction(1, 3**300)  # 144 digits in its denominator
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_z(-(10**999)),
+        lambda: check_tol(-Fraction(10**500, 3)),
+        lambda: ellip_k(Fraction(10**300 + 1, 10**300)),
+        lambda: integral_In_numeric_many([IntegralSpec(0, TINY)], Precision(abs_tol=1e-300)),
+        lambda: inner_integral_numeric_grid([TINY], [TINY], Precision(abs_tol=1e-300)),
+        lambda: I0_via_swap(TINY, Precision(abs_tol=1e-300)),
+    ],
+    ids=["z", "tol", "k", "batch", "inner-grid", "swap"],
+)
+def test_a_message_never_echoes_a_long_argument_whole(call):
+    with pytest.raises((DomainError, ToleranceNotReached)) as caught:
+        call()
+    assert len(str(caught.value)) <= 200

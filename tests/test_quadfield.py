@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -6,9 +7,15 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from ellipkint import DomainError, QuadExt, Surd, surd_normalize
+from ellipkint import CATALOG, DomainError, QuadExt, Surd, eval_at_special, surd_normalize
 from ellipkint.closedform import _horner
-from ellipkint.quadfield import UNIT_SURD, _polyval, square_part
+from ellipkint.quadfield import (
+    UNIT_SURD,
+    _over_common_denominator,
+    _pair_sign,
+    _polyval_pair,
+    square_part,
+)
 
 F = Fraction
 
@@ -80,6 +87,66 @@ def test_sign_all_quadrants():
     assert qe(1, -1, 2).sign() == -1     # 1 < 2
     assert qe(-1, 1, 2).sign() == 1
     assert qe(0, 0, 2).sign() == 0
+    # the same rule on the integer pairs render takes it from
+    assert _pair_sign(1, 1, 2) == 1
+    assert _pair_sign(-1, -1, 2) == -1
+    assert _pair_sign(3, -2, 2) == 1
+    assert _pair_sign(-3, 2, 2) == -1
+    assert _pair_sign(1, -1, 2) == -1
+    assert _pair_sign(-1, 1, 2) == 1
+    assert _pair_sign(0, -1, 2) == -1
+    assert _pair_sign(-5, 0, 2) == -1
+    assert _pair_sign(0, 0, 2) == 0
+
+
+def _sign_reference(a, b, d: int) -> int:
+    """Sign of a + b*sqrt(d) from integers alone, for square-free d > 1.
+
+    Over a common denominator a and b are integers, and |b|*sqrt(d) lies
+    strictly between isqrt(b*b*d) and isqrt(b*b*d) + 1.
+    """
+    r = math.lcm(F(a).denominator, F(b).denominator)
+    a, b = int(a * r), int(b * r)
+    if b == 0:
+        return (a > 0) - (a < 0)
+    root = math.isqrt(b * b * d)
+    if b > 0:
+        return 1 if a >= -root else -1
+    return 1 if a > root else -1
+
+
+def _sign_cases(a, b, d: int) -> None:
+    expected = _sign_reference(a, b, d)
+    assert _pair_sign(a, b, d) == expected, (a, b, d)
+    assert QuadExt(F(a), F(b), d).sign() == expected, (a, b, d)
+
+
+sign_parts = st.one_of(st.integers(-(10**30), 10**30), st.fractions(max_denominator=10**6))
+
+
+@given(sign_parts, sign_parts, st.sampled_from([2, 3, 5, 7, 4294967291]))
+def test_sign_matches_the_integer_reference(a, b, d):
+    _sign_cases(a, b, d)
+
+
+@pytest.mark.parametrize("label", ["cot2-pi-10", "cot2-pi-12"])
+def test_sign_of_near_cancelling_coefficients(label):
+    # eval_at_special's coefficients at these points have a and b*sqrt(d) of
+    # hundreds of digits, mostly of opposite sign; each also yields the two
+    # integer pairs closest to a + b*sqrt(d) == 0 for its b
+    point = CATALOG[label]
+    mixed = 0
+    for n in range(121):
+        value = eval_at_special(n, point)
+        for x in (value.pi_coeff, value.alg_coeff, value.pi_surd.radicand, value.alg_surd.radicand):
+            p, q, _ = _over_common_denominator(x)
+            mixed += p * q < 0
+            for a, b in ((x.a, x.b), (p, q), (-p, -q)):
+                _sign_cases(a, b, x.d)
+            root = math.isqrt(q * q * x.d)
+            for a in (root, root + 1, -root, -root - 1):
+                _sign_cases(a, q, x.d)
+    assert mixed > 200
 
 
 def test_sqrt_in_field():
@@ -176,4 +243,5 @@ coefficient_tuples = st.lists(
 def test_polyval_matches_horner(coefficients, z):
     # the reference is Horner step by step in QuadExt; adding zero turns the
     # empty tuple's plain 0 into a QuadExt
-    assert _polyval(coefficients, z) == QuadExt(F(0)) + _horner(coefficients, z)
+    P, Q, scale = _polyval_pair(coefficients, *_over_common_denominator(z), z.d)
+    assert QuadExt(F(P, scale), F(Q, scale), z.d) == QuadExt(F(0)) + _horner(coefficients, z)

@@ -17,8 +17,8 @@ from ellipkint import (
     make_exact_value,
     relation,
 )
-from ellipkint.closedform import closed_form
-from ellipkint.quadfield import UNIT_SURD, _polyval
+from ellipkint.closedform import _horner, closed_form
+from ellipkint.quadfield import UNIT_SURD
 from ellipkint.specialvalues import in1_pair
 
 F = Fraction
@@ -123,9 +123,9 @@ def test_eval_at_special_matches_field_arithmetic(point):
     for n in range(121):
         form = closed_form(n)
         expected = make_exact_value(
-            form.prefactor * point.theta_over_pi * _polyval(form.A, z) / power,
+            form.prefactor * point.theta_over_pi * _horner(form.A, z) / power,
             w,
-            form.prefactor * _polyval(form.B, z) / power,
+            form.prefactor * _horner(form.B, z) / power,
             z + 1,
         )
         assert eval_at_special(n, point) == expected, n
