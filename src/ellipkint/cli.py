@@ -9,6 +9,7 @@ tolerance.  Family indices above MAX_N are usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -73,16 +74,29 @@ def _precision(tol) -> Precision:
     return Precision() if tol is None else Precision(abs_tol=tol)
 
 
+def _cannot_write(path, exc: OSError) -> DomainError:
+    return DomainError(f"cannot write {clipped(path or 'stdout')}: {exc.strerror}")
+
+
+@contextlib.contextmanager
+def _output(path):
+    """Where a command prints: stdout, or the file --out names, opened before any work is done."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+    with fh:
+        yield fh
+
+
 def _emit(args, text: str):
-    out = getattr(args, "out", None)
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise DomainError(f"cannot write {clipped(out)}: {exc.strerror}") from exc
-    else:
-        print(text)
+    try:
+        print(text, file=args.stream, flush=True)
+    except OSError as exc:
+        raise _cannot_write(args.out, exc) from exc
 
 
 def cmd_eval(args) -> int:
@@ -96,13 +110,14 @@ def cmd_eval(args) -> int:
         rows["exact"] = In_exact_real(args.n, z, prec)
     if args.method == "both":
         rows["difference"] = abs(rows["numeric"] - rows["exact"])
+    # the difference is about the quadrature's error, its digits past the
+    # third rounding noise of the two routes
+    shown_rows = {k: mpmath.nstr(v, 3 if k == "difference" else 20) for k, v in rows.items()}
     if args.format == "json":
-        payload = {"n": args.n, "z": str(z)}
-        payload.update({k: mpmath.nstr(v, 20) for k, v in rows.items()})
-        _emit(args, json.dumps(payload))
+        _emit(args, json.dumps({"n": args.n, "z": str(z), **shown_rows}))
     else:
         lines = [f"I_{args.n}({z})"]
-        lines += [f"  {k:10s} = {mpmath.nstr(v, 20)}" for k, v in rows.items()]
+        lines += [f"  {k:10s} = {v}" for k, v in shown_rows.items()]
         _emit(args, "\n".join(lines))
     return EXIT_OK
 
@@ -228,7 +243,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _output(args.out) as stream:
+            args.stream = stream
+            return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -78,12 +78,27 @@ def clipped(text: str, width: int = 80) -> str:
     return text if len(text) <= width else f"{text[: width // 2]}… ({len(text)} characters)"
 
 
+def _digit_count(a: int) -> int:
+    """The number of decimal digits of an int a > 0, from its bit length.
+
+    a lies in [2^(b−1), 2^b), so it has d or d + 1 digits, d below.
+    """
+    d = int((a.bit_length() - 1) * math.log10(2)) + 1
+    return d + (a >= 10**d)
+
+
 def shown(x) -> str:
     """x as an error message prints it: a real as its value, anything else by type and repr.
 
     A string "1" then reads "got str '1'", not as if the number 1 were rejected;
-    a value of a thousand digits reads as its head and its length.
+    a value of a thousand digits reads as its head and its length.  An int
+    longer than that reads as its sign and digit count, without str(), which
+    Python refuses on an int of more than 4300 digits.
     """
+    if _is_a(x, int) and x:
+        digits = _digit_count(abs(x))
+        if digits + (x < 0) > 80:
+            return f"{'a negative' if x < 0 else 'an'} int of {digits} digits"
     return clipped(str(x) if is_real(x) else f"{type(x).__name__} {x!r}")
 
 
@@ -103,7 +118,7 @@ DEFAULT_PRECISION = Precision()
 def check_index(n) -> None:
     """The family index n of I_n must be a nonnegative integer."""
     if not _is_integer(n) or n < 0:
-        raise DomainError(f"family index n must be a nonnegative integer, got {n}")
+        raise DomainError(f"family index n must be a nonnegative integer, got {shown(n)}")
 
 
 def check_z(z) -> mpf:

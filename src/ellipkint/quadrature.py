@@ -7,22 +7,12 @@ the k -> 1 logarithmic singularity of the K(k) kernel needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import (
-    finf,
-    fnan,
-    fninf,
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_pow_int,
-    mpf_sqrt,
-    round_nearest,
-)
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, round_nearest
 
 from .elliptic import ellip_k
 from .precision import (
@@ -43,11 +33,19 @@ from .precision import (
 MAX_LEVEL = 12
 MIN_STOP_LEVEL = 3
 
+# bits a batch term carries over the working precision besides the bit length
+# of its power 2n+3: the power multiplies the root's relative error by 2n+3,
+# and each of its ~2·log2(2n+3) truncations adds at most one more unit
+_GUARD_BITS = 8
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
     """One tanh-sinh quadrature: its value and how it was obtained.
 
+    value           the level sum S_L at the level L it stopped on: the exact
+                    sum of its terms, each within one ulp of the working
+                    precision, rounded once to that precision
     error_estimate  d_L²/d_(L−1) at the level L it stopped on, d_L being the
                     difference of the level sums S_L and S_(L−1) (d_L at
                     level 1 or when d_(L−1) is 0); inf if it stopped at level 0
@@ -111,21 +109,22 @@ def _level_nodes(level: int) -> list[tuple[mpf, mpf]]:
     return nodes
 
 
-# kernel cache: (working binary precision, level) -> list of (x, x², K(x)·x·w)
-# over the nodes of that level on (0, 1), x² and K(x)·x·w as raw mpf tuples.
+# kernel cache: (working binary precision, level) -> list of (x², K(x)·x·w)
+# over the nodes of that level on (0, 1), each an exact (mantissa, exponent)
+# pair of ints: x² exactly, K(x)·x·w as its mpf at the working precision.
 # Like the nodes it depends on neither n nor z, so every I_n(z) quadrature at
 # one precision shares it.
-_KERNEL_CACHE: dict[tuple[int, int], list[tuple[mpf, tuple, tuple]]] = {}
+_KERNEL_CACHE: dict[tuple[int, int], list[tuple[tuple[int, int], tuple[int, int]]]] = {}
 
 
-def _level_kernel(level: int, prec: Precision) -> list[tuple[mpf, tuple, tuple]]:
+def _level_kernel(level: int, prec: Precision) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     key = (mpmath.mp.prec, level)
     cached = _KERNEL_CACHE.get(key)
     if cached is None:
-        cached = [
-            (x, (x * x)._mpf_, (ellip_k(x, prec) * x * weight)._mpf_)
-            for x, weight in _level_nodes(level)
-        ]
+        cached = []
+        for x, weight in _level_nodes(level):
+            _, man, exp, _ = x._mpf_
+            cached.append(((man * man, 2 * exp), _pair((ellip_k(x, prec) * x * weight)._mpf_, x)))
         _KERNEL_CACHE[key] = cached
     return cached
 
@@ -133,16 +132,69 @@ def _level_kernel(level: int, prec: Precision) -> list[tuple[mpf, tuple, tuple]]
 _NONFINITE = (finf, fninf, fnan)
 
 
+def _pair(raw: tuple, x) -> tuple[int, int]:
+    """A raw mpf tuple as its exact (signed mantissa, exponent) pair; DomainError if inf or nan."""
+    if raw in _NONFINITE:
+        raise DomainError(f"integrand not finite at {x}")
+    sign, man, exp, _ = raw
+    return -man if sign else man, exp
+
+
+def _root_of_sum(a: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
+    """√(a+b) for pairs a, b >= 0, a+b > 0, as (r, e): r = ⌊√(a+b)/2^e⌋ of exactly `bits` bits.
+
+    a + b is summed exactly, and a sum longer than 2·bits bits is cut there,
+    which leaves the floor as it is.  So r >> k is the root taken at
+    bits − k, bit for bit.
+    """
+    (am, ae), (bm, be) = a, b
+    e = min(ae, be)
+    s = (am << (ae - e)) + (bm << (be - e))
+    shift = 2 * bits - s.bit_length()
+    shift += (e - shift) & 1  # the exponent of the root's argument must be even
+    s = s << shift if shift >= 0 else s >> -shift
+    r, e = math.isqrt(s), (e - shift) >> 1
+    extra = r.bit_length() - bits  # 1 when s had 2·bits + 1 bits, else 0
+    return r >> extra, e + extra
+
+
+def _quotient(kernel: tuple[int, int], root: tuple[int, int], power: int, bits: int) -> tuple[int, int]:
+    """kernel/root^power as a pair whose mantissa has `bits` or bits+1 bits.
+
+    The root is first cut to `bits` bits (see _root_of_sum), so the term
+    does not depend on which other members share the root.  The power is
+    binary powering, its product cut back to `bits` bits after each step;
+    its relative error is below (power + 2·log2(power))·2^(1−bits) over the
+    root's, and the quotient's truncation adds 2^(1−bits).
+    """
+    (km, ke), (r, re) = kernel, root
+    drop = r.bit_length() - bits
+    r, re = r >> drop, re + drop
+    p, pe = r, 0  # p·2^pe = r^j, j the leading bits of power read so far
+    for bit in bin(power)[3:]:
+        p *= p
+        pe *= 2
+        if bit == "1":
+            p *= r
+        extra = p.bit_length() - bits
+        if extra > 0:
+            p >>= extra
+            pe += extra
+    shift = bits + p.bit_length() - km.bit_length()
+    return (km << shift) // p, ke - shift - pe - power * re
+
+
 def _refine(samples, members: int, prec: Precision) -> list[QuadratureResult]:
     """The level loop of every quadrature here: many sums over one pass of the nodes.
 
-    samples(level, live) yields (x, terms) for the nodes new on that level,
-    terms[j] being the raw mpf tuple (`_mpf_`) of f(x)·weight for member
-    live[j].  Sums stay raw tuples, added by mpf_add at the working precision
-    rounding to nearest, which is what mpf.__add__ calls, so they are the
-    operator sums bit for bit without an mpf object per term.  A member's
-    value at level L is the sum of its terms so far over 2^(L+1), the
-    weights being those of (-1, 1).
+    samples(level, live) yields, for each node new on that level, the list
+    of its terms f(x)·weight, terms[j] for member live[j], each an exact
+    (signed mantissa, exponent) pair of ints.  A member's sum is one exact
+    integer in units of 2^floor, floor lying wp + 64 bits below the leading
+    bit of its first nonzero term, wp the working precision in bits.  Only
+    the bits of a term below 2^floor are dropped, less than 2^floor per
+    term.  Once per level the sum is rounded to nearest at wp; its value at
+    level L is that sum over 2^(L+1), the weights being those of (-1, 1).
 
     Tanh-sinh about doubles its correct digits per level, so with
     d_L = |S_L − S_(L−1)| the error of S_L is estimated as d_L²/d_(L−1), or
@@ -155,7 +207,8 @@ def _refine(samples, members: int, prec: Precision) -> list[QuadratureResult]:
     """
     tol = to_mpf(prec.abs_tol)
     wp = mpmath.mp.prec
-    raw = [fzero] * members
+    sums = [0] * members
+    floors = [None] * members  # None until the member's first nonzero term
     value = [mpf(0)] * members
     last_d = [None] * members  # d_(L−1), None before level 1
     estimate = [mpf("inf")] * members
@@ -165,14 +218,19 @@ def _refine(samples, members: int, prec: Precision) -> list[QuadratureResult]:
     for level in range(MAX_LEVEL + 1):
         if not live:
             break
-        for x, terms in samples(level, live):
-            for i, term in zip(live, terms):
-                if term in _NONFINITE:
-                    raise DomainError(f"integrand not finite at {x}")
-                raw[i] = mpf_add(raw[i], term, wp, round_nearest)
+        for terms in samples(level, live):
+            for i, (man, exp) in zip(live, terms):
+                floor = floors[i]
+                if floor is None:
+                    if not man:
+                        continue
+                    floor = floors[i] = exp + man.bit_length() - 1 - (wp + 64)
+                shift = exp - floor
+                sums[i] += man << shift if shift >= 0 else man >> -shift
             evaluations += 1
         for i in live:
-            current = mpmath.mp.make_mpf(raw[i]) / 2 ** (level + 1)
+            exp = (floors[i] or 0) - (level + 1)
+            current = mpmath.mp.make_mpf(from_man_exp(sums[i], exp, wp, round_nearest))
             if level > 0:
                 d = abs(current - value[i])
                 estimate[i] = d * d / last_d[i] if last_d[i] else d
@@ -209,7 +267,7 @@ def tanh_sinh_integrate(f, prec: Precision = DEFAULT_PRECISION) -> QuadratureRes
                 term = getattr(f(x) * weight, "_mpf_", None)
                 if term is None:
                     raise DomainError(f"integrand not real at {x}")
-                yield x, (term,)
+                yield (_pair(term, x),)
 
         return _refine(samples, 1, prec)[0]
 
@@ -233,22 +291,19 @@ def integral_In_numeric_many(specs, prec: Precision = DEFAULT_PRECISION) -> list
         wp = mpmath.mp.prec
         keys = [(to_mpf(spec.z)._mpf_, 2 * spec.n + 3) for spec in specs]
         params = list(dict.fromkeys(keys))  # one member per distinct integral
+        bits = {power: wp + power.bit_length() + _GUARD_BITS for _, power in params}
+        widest = max(bits.values(), default=0)
 
-        # kernel/(z+x²)^((2n+3)/2) as mpf.__pow__ and __div__ compute it:
-        # √(z+x²) at wp+10 bits, its (2n+3)-th power, the quotient; the root
-        # depends on z alone, so the members at one z share it
+        # kernel/(z+x²)^((2n+3)/2) on ints: z+x² exact, its root by isqrt,
+        # the power and the quotient truncated to wp + _GUARD_BITS bits over
+        # the power's bit length; the root depends on z alone, so the members
+        # at one z share it, taken at the widest member's bits
         def samples(level, live):
             members = [params[i] for i in live]
-            live_z = {z for z, _ in members}
-            for x, xx, kernel in _level_kernel(level, prec):
-                roots = {
-                    z: mpf_sqrt(mpf_add(z, xx, wp, round_nearest), wp + 10, round_nearest)
-                    for z in live_z
-                }
-                yield x, [
-                    mpf_div(kernel, mpf_pow_int(roots[z], power, wp, round_nearest), wp, round_nearest)
-                    for z, power in members
-                ]
+            live_z = {z: z[1:3] for z, _ in members}  # z > 0: its raw (man, exp)
+            for xx, kernel in _level_kernel(level, prec):
+                roots = {z: _root_of_sum(pair, xx, widest) for z, pair in live_z.items()}
+                yield [_quotient(kernel, roots[z], power, bits[power]) for z, power in members]
 
         distinct = dict(zip(params, _refine(samples, len(params), prec)))
     results = [distinct[key] for key in keys]
@@ -294,7 +349,6 @@ def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECIS
     """
     z_grid, t_grid = list(z_grid), list(t_grid)
     with prec.workdps():
-        wp = mpmath.mp.prec
         zs, ts = _inner_domain(z_grid, t_grid)
         width = len(ts)
         three_halves = mpf(3) / 2
@@ -305,9 +359,13 @@ def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECIS
             live_t = {it for _, it in pairs}
             for x, weight in _level_nodes(level):
                 xw, xx = x * weight, x * x
-                z_part = {iz: (xw / (zs[iz] + xx) ** three_halves)._mpf_ for iz in live_z}
-                t_part = {it: (1 / mpmath.sqrt(1 - (x * ts[it]) ** 2))._mpf_ for it in live_t}
-                yield x, [mpf_mul(z_part[iz], t_part[it], wp, round_nearest) for iz, it in pairs]
+                z_part = {iz: _pair((xw / (zs[iz] + xx) ** three_halves)._mpf_, x) for iz in live_z}
+                t_part = {it: _pair((1 / mpmath.sqrt(1 - (x * ts[it]) ** 2))._mpf_, x) for it in live_t}
+                terms = []
+                for iz, it in pairs:  # each pair's term is the exact product
+                    (zm, ze), (tm, te) = z_part[iz], t_part[it]
+                    terms.append((zm * tm, ze + te))
+                yield terms
 
         results = _refine(samples, len(zs) * width, prec)
     for i, result in enumerate(results):

@@ -36,6 +36,17 @@ def test_eval_both(capsys):
     assert float(lines["difference"]) <= 1e-10
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_difference_has_three_significant_digits(capsys, fmt):
+    code, out, _ = run(capsys, "eval", "--n", "8", "--z", "1/10", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        difference = json.loads(out)["difference"]
+    else:
+        (difference,) = [line.split(" = ")[1] for line in out.splitlines() if "difference" in line]
+    assert difference == "1.45e-33"
+
+
 def test_eval_exact_rational_z(capsys):
     code, out, _ = run(capsys, "eval", "--n", "0", "--z", "1/3", "--method", "exact")
     assert code == 0
@@ -274,6 +285,23 @@ def test_out_file_unwritable(tmp_path, capsys):
     code, out, err = run(capsys, "eval", "--n", "0", "--z", "1", "--out", str(target))
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["table", "--max-n", "3", "--points", "1"], ["identity", "--n", "0", "--point", "1"]],
+    ids=["verify", "table", "identity"],
+)
+def test_unwritable_out_fails_before_any_work(monkeypatch, tmp_path, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the output was computed before --out was opened")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(cli, "eval_at_special", no_work)
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == "" and err == f"error: cannot write {target}: No such file or directory\n"
 
 
 # sha256 of the whole stdout, keyed by (max_n, format).  The n <= 12 digests

@@ -7,7 +7,8 @@ import mpmath
 import pytest
 
 from ellipkint import DEFAULT_PRECISION, DomainError, Precision, ToleranceNotReached, ellip_k
-from ellipkint.precision import check_tol, check_z, is_real, shown, to_mpf
+from ellipkint.closedform import closed_form
+from ellipkint.precision import _digit_count, check_index, check_tol, check_z, is_real, shown, to_mpf
 from ellipkint.quadrature import (
     I0_via_swap,
     IntegralSpec,
@@ -96,9 +97,35 @@ def test_a_real_argument_out_of_range_is_printed_as_its_value(call, message):
 
 def test_shown_clips_a_long_value_to_its_head_and_length():
     assert shown(10**79) == "1" + "0" * 79  # 80 characters print whole
-    assert shown(10**80) == "1" + "0" * 39 + "… (81 characters)"
+    assert shown(-(10**79)) == "a negative int of 80 digits"  # 81 characters with its sign
+    assert shown(10**80) == "an int of 81 digits"
     assert shown("x" * 100) == "str '" + "x" * 35 + "… (106 characters)"
     assert shown(Fraction(-1, 3)) == "-1/3"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_z(-(10**5000)),
+        lambda: check_index(-(10**5000)),
+        lambda: closed_form(-(10**5000)),
+        lambda: IntegralSpec(-(10**5000), 1),
+        lambda: IntegralSpec(0, -(10**5000)),
+    ],
+    ids=["check_z", "check_index", "closed_form", "spec-n", "spec-z"],
+)
+def test_an_int_too_long_for_str_is_named_by_sign_and_digit_count(call):
+    # Python refuses str() on an int of more than 4300 digits
+    with pytest.raises(DomainError, match="got a negative int of 5001 digits$"):
+        call()
+
+
+def test_digit_count_matches_str():
+    rng = random.Random(5001)
+    numbers = [rng.getrandbits(rng.randrange(1, 4000)) | 1 for _ in range(500)]
+    numbers += [10**e + d for e in range(1, 1300) for d in (-1, 0)]
+    for a in numbers:
+        assert _digit_count(a) == len(str(a))
 
 
 TINY = Fraction(1, 3**300)  # 144 digits in its denominator

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -332,19 +333,20 @@ def test_batch_of_no_specs_is_empty():
     assert integral_In_numeric_many([], PREC) == []
 
 
-def test_batch_rejects_nonfinite_term(monkeypatch):
-    for bad in (mpmath.inf, -mpmath.inf, mpmath.nan):
+@pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan], ids=["inf", "-inf", "nan"])
+def test_a_nonfinite_term_is_rejected(monkeypatch, bad):
+    # the kernel table checks K once, when it is built; tanh_sinh_integrate
+    # checks each term as it turns it into an integer pair
+    def poisoned_ellip_k(k, prec):
+        return bad if k < mpf("0.25") else ellip_k(k, prec)
 
-        def poisoned_kernel(level, prec):
-            # the table's shape: (x, x², K(x)·x·w), the last two as raw mpf tuples
-            return [
-                (mpf("0.5"), mpf("0.25")._mpf_, mpf(1)._mpf_),
-                (mpf("0.25"), mpf("0.0625")._mpf_, bad._mpf_),
-            ]
-
-        monkeypatch.setattr(quadrature, "_level_kernel", poisoned_kernel)
-        with pytest.raises(DomainError, match="not finite"):
-            integral_In_numeric_many([IntegralSpec(0, 1), IntegralSpec(2, 3)], PREC)
+    monkeypatch.setattr(quadrature, "ellip_k", poisoned_ellip_k)
+    monkeypatch.setattr(quadrature, "_KERNEL_CACHE", {})
+    with pytest.raises(DomainError, match="not finite"):
+        integral_In_numeric_many([IntegralSpec(0, 1), IntegralSpec(2, 3)], PREC)
+    assert not quadrature._KERNEL_CACHE  # no level holding a bad K is kept
+    with pytest.raises(DomainError, match="not finite"):
+        tanh_sinh_integrate(lambda x: bad if x < mpf("0.25") else x, PREC)
 
 
 @pytest.mark.parametrize("f", [lambda x: mpmath.mpc(x, 1), lambda x: 1j * x])
@@ -353,32 +355,121 @@ def test_complex_integrand_rejected(f):
         tanh_sinh_integrate(f, PREC)
 
 
-@pytest.mark.parametrize("dps", [40, 60])
-def test_raw_terms_match_the_mpf_operators(monkeypatch, dps):
-    """Each term of the raw path is kernel/(z+x²)^(n+3/2) by mpf operators, bit for bit."""
+@pytest.mark.parametrize("dps", [40, 60, 100])
+def test_batch_terms_within_one_ulp_of_a_reference_at_twice_the_precision(monkeypatch, dps):
+    """Each batch term kernel/(z+x²)^(n+3/2) is right to 2^-wp relative, wp the working precision.
+
+    The reference takes the table's x² and kernel as exact, as the terms do,
+    and z as the batch reads it at the working precision.
+    """
     prec = Precision(dps=dps)
     specs = [
         IntegralSpec(n, z)
-        for n in (0, 1, 2, 8, 16, 40)
-        for z in (Fraction(1, 10), 1, Fraction(67, 10), 10**8)
+        for n in (0, 1, 2, 8, 16, 40, 500)
+        for z in (Fraction(1, 10**30), Fraction(1, 10), 1, Fraction(67, 10), 10**8, 10**30)
     ]
     checked = []
 
     def compare_terms(samples, members, p):
-        live = list(range(members))
+        assert members == len(specs)
+        wp = mpmath.mp.prec
         params = [(to_mpf(spec.z), spec.n + mpf(3) / 2) for spec in specs]
-        for level in range(5):
+        live = list(range(members))
+        for level in range(4):
             table = quadrature._level_kernel(level, p)
-            for (x, terms), (_, _, kernel) in zip(samples(level, live), table):
-                kernel = mpmath.mp.make_mpf(kernel)
-                for term, (z, exponent) in zip(terms, params):
-                    assert term == (kernel / (z + x * x) ** exponent)._mpf_
-                    checked.append(term)
+            for terms, ((xm, xe), (km, ke)) in zip(samples(level, live), table):
+                with mpmath.workprec(2 * wp):
+                    xx, kernel = mpmath.ldexp(xm, xe), mpmath.ldexp(km, ke)
+                    for (man, exp), (z, exponent) in zip(terms, params):
+                        want = kernel / (z + xx) ** exponent
+                        assert abs(mpmath.ldexp(man, exp) - want) <= mpmath.ldexp(want, -wp)
+                        checked.append(man)
         return [quadrature.QuadratureResult(mpf(0), mpf(0), 0, 0)] * members
 
     monkeypatch.setattr(quadrature, "_refine", compare_terms)
     integral_In_numeric_many(specs, prec)
-    assert len(checked) > 100 * len(specs)
+    assert len(checked) > 60 * len(specs)
+
+
+def _synthetic_terms(rng, wp, levels=5, nodes=12):
+    """Signed (mantissa, exponent) terms for five members, per level, per node.
+
+    0: random signs and lengths around 2^-900
+    1: pairs +b, −b + δ, b near 2^-990 and δ below 2^-1170: heavy cancellation
+    2: a first term near 2^-1300, then terms 400 bits above it
+    3: a first term near 2^-900, then terms 400 bits below its floor
+    4: zeros on level 0, then terms like member 0's
+    """
+
+    def term(lead, bits):  # a `bits`-bit mantissa, its leading bit near 2^lead
+        man = rng.getrandbits(bits) | 1 << (bits - 1)
+        return rng.choice((1, -1)) * man, lead - bits + 1 + rng.randrange(-20, 20)
+
+    table = []
+    for level in range(levels):
+        rows = []
+        for node in range(nodes):
+            first = (level, node) == (0, 0)
+            if node % 2 == 0:
+                big = rng.getrandbits(wp + 40) | 1 << (wp + 39)
+            rows.append(
+                [
+                    term(-900, rng.randrange(1, wp + 30)),
+                    (rng.getrandbits(30) - big, -1029 - wp) if node % 2 else (big, -1029 - wp),
+                    term(-1300 if first else -900, wp),
+                    term(-900 if first else -1300, wp),
+                    (0, 0) if level == 0 else term(-900, wp),
+                ]
+            )
+        table.append(rows)
+    return table
+
+
+def _fraction(x: mpf) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def test_level_sums_are_the_exact_sum_rounded_once(monkeypatch):
+    """A level value is the exact sum of the terms so far over 2^(L+1), rounded once at wp.
+
+    Bits of a term below the floor, wp + 64 bits under the leading bit of the
+    member's first nonzero term, are dropped: each such term may move the
+    sum by less than 2^floor.  abs_tol=1e-300 lies above one ulp of a sum
+    near 2^-900 and below its level differences, so every member but the
+    cancelling one runs to MAX_LEVEL.
+    """
+    prec = Precision(abs_tol=1e-300)
+    for max_level in range(5):
+        monkeypatch.setattr(quadrature, "MAX_LEVEL", max_level)
+        with prec.workdps():
+            wp = mpmath.mp.prec
+            table = _synthetic_terms(random.Random(f"sums-{max_level}"), wp)
+
+            def samples(level, live):
+                for row in table[level]:
+                    yield [row[i] for i in live]
+
+            results = quadrature._refine(samples, 5, prec)
+            for i, result in enumerate(results):
+                terms = [row[i] for rows in table[: result.levels_used + 1] for row in rows]
+                exact = sum(Fraction(man) * Fraction(2) ** exp for man, exp in terms)
+                scale = Fraction(2) ** (result.levels_used + 1)
+                if not any(m for m, _ in terms):
+                    assert result.value == 0
+                    continue
+                man, exp = next((m, e) for m, e in terms if m)
+                floor = exp + man.bit_length() - 1 - (wp + 64)
+                below = sum(1 for m, e in terms if m and e < floor)
+                want = to_mpf(exact / scale)
+                if below == 0:
+                    assert result.value == want, (max_level, i)
+                else:
+                    bound = abs(_fraction(want)) * Fraction(1, 2**wp) + below * Fraction(2) ** floor / scale
+                    assert abs(_fraction(result.value) - exact / scale) <= bound, (max_level, i)
+            assert [r.levels_used for i, r in enumerate(results) if i != 1] == [max_level] * 4
+    # member 1 cancels: its sum is ~200 bits below its largest term
+    assert abs(results[1].value) < mpmath.ldexp(1, -1100)
 
 
 def test_inner_grid_matches_pointwise_and_unfactored_integrand():

@@ -362,6 +362,31 @@ def test_suite_makes_one_quadrature_pass_over_its_distinct_specs(monkeypatch):
     assert members == [107]
 
 
+# sha256 of repr() of the (levels_used, evaluations) of every quadrature the
+# default suite runs, in the order _refine returns them, as computed while
+# each level sum was still rounded at every term; the count, evaluations and
+# levels are spelled out beside it
+SUITE_STOPS_SHA256 = "a2258e950614c8e7910bfb6dba4aef36bc7619707195fcf0f87a616efebaa09d"
+
+
+def test_suite_quadratures_stop_at_the_pinned_levels(monkeypatch):
+    # the level sums are now exact until one rounding per level; the stop
+    # rule reads them, so every stop and every count must be as before
+    real = quadrature._refine
+    stops = []
+
+    def recording(samples, count, prec):
+        results = real(samples, count, prec)
+        stops.extend((r.levels_used, r.evaluations) for r in results)
+        return results
+
+    monkeypatch.setattr(quadrature, "_refine", recording)
+    assert run_suite().all_passed
+    assert len(stops) == 212 and sum(e for _, e in stops) == 18900
+    assert {level: [l for l, _ in stops].count(level) for level in (3, 4, 5)} == {3: 142, 4: 65, 5: 5}
+    assert hashlib.sha256(repr(stops).encode()).hexdigest() == SUITE_STOPS_SHA256
+
+
 def test_suite_raises_when_a_quadrature_cannot_converge(monkeypatch):
     # the batch's below-one-ulp stop has its own test in test_quadrature.py
     monkeypatch.setattr(quadrature, "MAX_LEVEL", 3)
