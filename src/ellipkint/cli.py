@@ -110,8 +110,8 @@ def cmd_eval(args) -> int:
         rows["exact"] = In_exact_real(args.n, z, prec)
     if args.method == "both":
         rows["difference"] = abs(rows["numeric"] - rows["exact"])
-    # the difference is about the quadrature's error, its digits past the
-    # third rounding noise of the two routes
+    # the difference is about the quadrature's error; past its third digit
+    # it is rounding noise of the two routes
     shown_rows = {k: mpmath.nstr(v, 3 if k == "difference" else 20) for k, v in rows.items()}
     if args.format == "json":
         _emit(args, json.dumps({"n": args.n, "z": str(z), **shown_rows}))

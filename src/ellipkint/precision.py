@@ -91,15 +91,18 @@ def shown(x) -> str:
     """x as an error message prints it: a real as its value, anything else by type and repr.
 
     A string "1" then reads "got str '1'", not as if the number 1 were rejected;
-    a value of a thousand digits reads as its head and its length.  An int
-    longer than that reads as its sign and digit count, without str(), which
-    Python refuses on an int of more than 4300 digits.
+    a value of a thousand digits reads as its head and its length.  An int or
+    Fraction too long for str(), which Python refuses past its limit of 4300
+    digits, reads as its sign and digit counts, taken from its bit length.
     """
-    if _is_a(x, int) and x:
-        digits = _digit_count(abs(x))
-        if digits + (x < 0) > 80:
-            return f"{'a negative' if x < 0 else 'an'} int of {digits} digits"
-    return clipped(str(x) if is_real(x) else f"{type(x).__name__} {x!r}")
+    try:
+        return clipped(str(x) if is_real(x) else f"{type(x).__name__} {x!r}")
+    except ValueError:
+        if not is_rational(x):
+            raise
+    parts = [x.numerator] if x.denominator == 1 else [x.numerator, x.denominator]
+    digits = "/".join(str(_digit_count(abs(part))) for part in parts)
+    return f"a {'negative' if x < 0 else 'positive'} {type(x).__name__} of {digits} digits"
 
 
 def is_rational(x) -> bool:

@@ -97,8 +97,7 @@ def test_a_real_argument_out_of_range_is_printed_as_its_value(call, message):
 
 def test_shown_clips_a_long_value_to_its_head_and_length():
     assert shown(10**79) == "1" + "0" * 79  # 80 characters print whole
-    assert shown(-(10**79)) == "a negative int of 80 digits"  # 81 characters with its sign
-    assert shown(10**80) == "an int of 81 digits"
+    assert shown(10**80) == "1" + "0" * 39 + "… (81 characters)"
     assert shown("x" * 100) == "str '" + "x" * 35 + "… (106 characters)"
     assert shown(Fraction(-1, 3)) == "-1/3"
 
@@ -111,13 +110,20 @@ def test_shown_clips_a_long_value_to_its_head_and_length():
         lambda: closed_form(-(10**5000)),
         lambda: IntegralSpec(-(10**5000), 1),
         lambda: IntegralSpec(0, -(10**5000)),
+        lambda: IntegralSpec(0, Fraction(-(10**5000), 3)),
     ],
-    ids=["check_z", "check_index", "closed_form", "spec-n", "spec-z"],
+    ids=["check_z", "check_index", "closed_form", "spec-n", "spec-z", "spec-z-fraction"],
 )
-def test_an_int_too_long_for_str_is_named_by_sign_and_digit_count(call):
+def test_a_number_too_long_for_str_is_named_by_sign_and_digit_count(call):
     # Python refuses str() on an int of more than 4300 digits
-    with pytest.raises(DomainError, match="got a negative int of 5001 digits$"):
+    with pytest.raises(DomainError, match="got a negative (int of 5001|Fraction of 5001/1) digits$"):
         call()
+
+
+def test_shown_names_a_number_too_long_for_str_by_its_digit_counts():
+    assert shown(10**5000) == "a positive int of 5001 digits"
+    assert shown(Fraction(-1, 10**4999 + 1)) == "a negative Fraction of 1/5000 digits"
+    assert shown(10**4299) == "1" + "0" * 39 + "… (4300 characters)"  # Python's limit, printed whole
 
 
 def test_digit_count_matches_str():
