@@ -9,7 +9,7 @@ from __future__ import annotations
 import mpmath
 from mpmath import mpf
 
-from .precision import DEFAULT_PRECISION, DomainError, Precision, is_real, shown, to_mpf
+from .precision import DEFAULT_PRECISION, Precision, check_unit_interval
 
 
 def ellip_k(k, prec: Precision = DEFAULT_PRECISION) -> mpf:
@@ -19,9 +19,7 @@ def ellip_k(k, prec: Precision = DEFAULT_PRECISION) -> mpf:
     is a k that is not a real number.
     """
     with prec.workdps():
-        # the negated test also rejects nan, for which every comparison is false
-        if not is_real(k) or not 0 <= (k := to_mpf(k)) < 1:
-            raise DomainError(f"modulus must satisfy 0 <= k < 1, got {shown(k)}")
+        k = check_unit_interval(k, "modulus k")
         # (1-k)(1+k) avoids cancellation when k is close to 1
         kp = mpmath.sqrt((1 - k) * (1 + k))
         return mpmath.pi / (2 * mpmath.agm(1, kp))

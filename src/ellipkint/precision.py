@@ -42,7 +42,7 @@ class Precision:
     def __post_init__(self):
         check_tol(self.abs_tol, "abs_tol")
         if not _is_integer(self.dps) or self.dps < 15:
-            raise DomainError(f"dps must be an integer >= 15, got {self.dps}")
+            raise DomainError(f"dps must be an integer >= 15, got {shown(self.dps)}")
 
     @property
     def working_dps(self) -> int:
@@ -129,6 +129,13 @@ def check_z(z) -> mpf:
     # the negated test also rejects nan, for which every comparison is false
     if not is_real(z) or not 0 < (value := to_mpf(z)) < mpmath.inf:
         raise DomainError(f"shift parameter z must be positive and finite, got {shown(z)}")
+    return value
+
+
+def check_unit_interval(x, name: str) -> mpf:
+    """x as mpf at the current precision; it must be a real in [0, 1) (so not nan), like a modulus k."""
+    if not is_real(x) or not 0 <= (value := to_mpf(x)) < 1:
+        raise DomainError(f"{name} must lie in [0, 1), got {shown(x)}")
     return value
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 import mpmath
 from mpmath import mpf
 
-from .precision import DomainError, _is_integer, to_mpf
+from .precision import DomainError, _is_integer, shown, to_mpf
 
 
 def square_part(n: int) -> tuple[int, int]:
@@ -44,7 +44,7 @@ def square_part(n: int) -> tuple[int, int]:
                 f *= p
         p += 1 if p == 2 else 2
     if n >= 2**32:
-        raise DomainError(f"square_part cannot factor {original}: a cofactor >= 2**32 has no prime below 2**16")
+        raise DomainError(f"square_part cannot factor {shown(original)}: a cofactor >= 2**32 has no prime below 2**16")
     return s, f * n
 
 
@@ -84,7 +84,7 @@ class QuadExt:
         object.__setattr__(self, "b", Fraction(self.b))
         d = self.d
         if not _is_integer(d) or not 0 < d < 2**32 or square_part(d)[0] != 1:
-            raise DomainError(f"d must be a square-free integer in [1, 2**32), got {d}")
+            raise DomainError(f"d must be a square-free integer in [1, 2**32), got {shown(d)}")
         if self.d == 1 and self.b != 0:
             # fold sqrt(1) into the rational part
             object.__setattr__(self, "a", self.a + self.b)

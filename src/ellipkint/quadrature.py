@@ -21,8 +21,8 @@ from .precision import (
     Precision,
     ToleranceNotReached,
     check_index,
+    check_unit_interval,
     check_z,
-    is_real,
     shown,
     to_mpf,
 )
@@ -74,13 +74,13 @@ class IntegralSpec:
         check_z(self.z)
 
 
-# node cache: (working binary precision, level) -> list of (x, weight) for the
-# nodes new on that level, x on (0, 1) and weight that of the (-1, 1) rule;
-# _refine halves the sums, (0, 1) being half as wide.
-_NODE_CACHE: dict[tuple[int, int], list[tuple[mpf, mpf]]] = {}
+# node cache: (working binary precision, level) -> list of (x, weight, x²) for the
+# nodes new on that level, x on (0, 1), weight that of the (-1, 1) rule and x² an
+# exact (mantissa, exponent) pair of ints; _refine halves the sums, (0, 1) being half as wide.
+_NODE_CACHE: dict[tuple[int, int], list[tuple[mpf, mpf, tuple[int, int]]]] = {}
 
 
-def _level_nodes(level: int) -> list[tuple[mpf, mpf]]:
+def _level_nodes(level: int) -> list[tuple[mpf, mpf, tuple[int, int]]]:
     key = (mpmath.mp.prec, level)
     cached = _NODE_CACHE.get(key)
     if cached is not None:
@@ -101,9 +101,8 @@ def _level_nodes(level: int) -> list[tuple[mpf, mpf]]:
         if delta < cut:
             break
         weight = pi_half * mpmath.cosh(t) / mpmath.cosh(u) ** 2
-        nodes.append((1 - delta / 2, weight))
-        if delta != 1:  # delta == 1 is the midpoint, count it once
-            nodes.append((delta / 2, weight))
+        for x in (1 - delta / 2, delta / 2) if delta != 1 else (delta / 2,):  # the midpoint once
+            nodes.append((x, weight, (x.man * x.man, 2 * x.exp)))
         k += step
     _NODE_CACHE[key] = nodes
     return nodes
@@ -111,7 +110,7 @@ def _level_nodes(level: int) -> list[tuple[mpf, mpf]]:
 
 # kernel cache: (working binary precision, level) -> list of (x², K(x)·x·w)
 # over the nodes of that level on (0, 1), each an exact (mantissa, exponent)
-# pair of ints: x² exactly, K(x)·x·w as its mpf at the working precision.
+# pair of ints: x² from the node table, K(x)·x·w as its mpf at the working precision.
 # Like the nodes it depends on neither n nor z, so every I_n(z) quadrature at
 # one precision shares it.
 _KERNEL_CACHE: dict[tuple[int, int], list[tuple[tuple[int, int], tuple[int, int]]]] = {}
@@ -122,9 +121,8 @@ def _level_kernel(level: int, prec: Precision) -> list[tuple[tuple[int, int], tu
     cached = _KERNEL_CACHE.get(key)
     if cached is None:
         cached = []
-        for x, weight in _level_nodes(level):
-            _, man, exp, _ = x._mpf_
-            cached.append(((man * man, 2 * exp), _pair((ellip_k(x, prec) * x * weight)._mpf_, x)))
+        for x, weight, xx in _level_nodes(level):
+            cached.append((xx, _pair((ellip_k(x, prec) * x * weight)._mpf_, x)))
         _KERNEL_CACHE[key] = cached
     return cached
 
@@ -263,7 +261,7 @@ def tanh_sinh_integrate(f, prec: Precision = DEFAULT_PRECISION) -> QuadratureRes
     with prec.workdps():
 
         def samples(level, live):
-            for x, weight in _level_nodes(level):
+            for x, weight, _ in _level_nodes(level):
                 term = getattr(f(x) * weight, "_mpf_", None)
                 if term is None:
                     raise DomainError(f"integrand not real at {x}")
@@ -315,17 +313,6 @@ def integral_In_numeric_many(specs, prec: Precision = DEFAULT_PRECISION) -> list
     return results
 
 
-def _inner_domain(z_grid, t_grid) -> tuple[list[mpf], list[mpf]]:
-    """The inner integral's arguments as mpf, each z > 0 and each t a real in [0, 1)."""
-    zs = [check_z(z) for z in z_grid]
-    for t in t_grid:
-        if not is_real(t):
-            raise DomainError(f"t must lie in [0, 1), got {shown(t)}")
-        if not 0 <= to_mpf(t) < 1:
-            raise DomainError("t must lie in [0, 1)")
-    return zs, [to_mpf(t) for t in t_grid]
-
-
 def _inner_closed(z: mpf, t: mpf, root_z: mpf, root_1z: mpf, root_t: mpf) -> mpf:
     """inner_integral_closed given root_z = √z, root_1z = √(1+z) and root_t = √((1−t)(1+t))."""
     denom = 1 + z * t * t
@@ -334,7 +321,7 @@ def _inner_closed(z: mpf, t: mpf, root_z: mpf, root_1z: mpf, root_t: mpf) -> mpf
 
 def inner_integral_closed(z, t) -> mpf:
     """1/(√z·(1+z·t²)) − √(1−t²)/(√(1+z)·(1+z·t²)) for z > 0, 0 <= t < 1."""
-    (z,), (t,) = _inner_domain([z], [t])
+    z, t = check_z(z), check_unit_interval(t, "t")
     root_t = mpmath.sqrt((1 - t) * (1 + t))
     return _inner_closed(z, t, mpmath.sqrt(z), mpmath.sqrt(1 + z), root_t)
 
@@ -343,23 +330,24 @@ def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECIS
     """Quadrature of ∫₀¹ k dk / ((z+k²)^(3/2)·√(1−k²t²)) at every z > 0, 0 <= t < 1.
 
     Returns rows over z_grid of values over t_grid.  The integrand factors
-    into x·w/(z+x²)^(3/2) and 1/√(1−x²t²), so each node costs one power per z
-    and one square root per t; every pair then keeps its own sum and stop
-    rule.  Nothing is kept between calls.
+    into x·w/(z+x²)^(3/2), formed on ints as a batch term of power 3 over the
+    exact x·w, within one ulp, and 1/√(1−x²t²), one mpf root per t; every
+    pair keeps its own sum and stop rule.  Nothing is kept between calls.
     """
     z_grid, t_grid = list(z_grid), list(t_grid)
     with prec.workdps():
-        zs, ts = _inner_domain(z_grid, t_grid)
+        zs = [check_z(z)._mpf_[1:3] for z in z_grid]  # z > 0: its raw (man, exp)
+        ts = [check_unit_interval(t, "t") for t in t_grid]
         width = len(ts)
-        three_halves = mpf(3) / 2
+        bits = mpmath.mp.prec + (3).bit_length() + _GUARD_BITS  # the batch's width at power 3
 
         def samples(level, live):
             pairs = [divmod(i, width) for i in live]
             live_z = {iz for iz, _ in pairs}
             live_t = {it for _, it in pairs}
-            for x, weight in _level_nodes(level):
-                xw, xx = x * weight, x * x
-                z_part = {iz: _pair((xw / (zs[iz] + xx) ** three_halves)._mpf_, x) for iz in live_z}
+            for x, weight, xx in _level_nodes(level):
+                xw = (x.man * weight.man, x.exp + weight.exp)
+                z_part = {iz: _quotient(xw, _root_of_sum(zs[iz], xx, bits), 3, bits) for iz in live_z}
                 t_part = {it: _pair((1 / mpmath.sqrt(1 - (x * ts[it]) ** 2))._mpf_, x) for it in live_t}
                 terms = []
                 for iz, it in pairs:  # each pair's term is the exact product

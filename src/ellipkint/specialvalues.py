@@ -18,7 +18,7 @@ import mpmath
 from mpmath import mpf
 
 from .closedform import closed_form
-from .precision import DEFAULT_PRECISION, DomainError, Precision, is_rational, to_mpf
+from .precision import DEFAULT_PRECISION, DomainError, Precision, is_rational, shown, to_mpf
 from .quadfield import (
     UNIT_SURD,
     QuadExt,
@@ -86,7 +86,8 @@ class SpecialPoint:
         with DEFAULT_PRECISION.workdps():
             gap = mpmath.acot(mpmath.sqrt(self.z.to_mpf())) - mpmath.pi * to_mpf(self.theta_over_pi)
             if abs(gap) > mpf(10) ** -DEFAULT_PRECISION.dps:
-                raise DomainError(f"ArcCot(sqrt({self.z})) is not {self.theta_over_pi}*pi")
+                # z is not echoed: a QuadExt prints whole, however long
+                raise DomainError(f"ArcCot(sqrt(z)) is not {shown(self.theta_over_pi)}*pi for this z")
 
     @cached_property
     def _constants(self) -> _PointConstants:
@@ -148,10 +149,10 @@ class ExactValue:
 
 def _normalized_term(raw, radical) -> tuple[QuadExt, Surd]:
     """Canonicalize raw / sqrt(radical) into (coefficient, normalized surd)."""
-    raw = QuadExt._coerce(raw)
+    raw, surd = QuadExt._coerce(raw), Surd(QuadExt._coerce(radical))  # checked even under a zero raw
     if raw.is_zero():
         return _ZERO, UNIT_SURD
-    multiplier, surd = surd_normalize(Surd(QuadExt._coerce(radical)))
+    multiplier, surd = surd_normalize(surd)
     return raw / multiplier, surd
 
 

@@ -9,6 +9,8 @@ import pytest
 from ellipkint import DEFAULT_PRECISION, DomainError, Precision, ToleranceNotReached, ellip_k
 from ellipkint.closedform import closed_form
 from ellipkint.precision import _digit_count, check_index, check_tol, check_z, is_real, shown, to_mpf
+from ellipkint.quadfield import QuadExt, square_part
+from ellipkint.specialvalues import SpecialPoint, make_exact_value
 from ellipkint.quadrature import (
     I0_via_swap,
     IntegralSpec,
@@ -65,11 +67,13 @@ def test_is_real_refuses_what_is_not_a_real_number(x):
         (lambda: IntegralSpec(0, "1"), "shift parameter z must be positive and finite, got str '1'"),
         (lambda: check_z(None), "shift parameter z must be positive and finite, got NoneType None"),
         (lambda: check_z(True), "shift parameter z must be positive and finite, got bool True"),
-        (lambda: ellip_k("0.5"), "modulus must satisfy 0 <= k < 1, got str '0.5'"),
+        (lambda: ellip_k("0.5"), "modulus k must lie in [0, 1), got str '0.5'"),
         (lambda: inner_integral_closed(1, "0.5"), "t must lie in [0, 1), got str '0.5'"),
         (lambda: check_tol("1e-6"), "tol must be positive and finite, got str '1e-6'"),
+        (lambda: Precision(dps="40"), "dps must be an integer >= 15, got str '40'"),
+        (lambda: QuadExt(1, 1, "5"), "d must be a square-free integer in [1, 2**32), got str '5'"),
     ],
-    ids=["z-str", "z-None", "z-bool", "k-str", "t-str", "tol-str"],
+    ids=["z-str", "z-None", "z-bool", "k-str", "t-str", "tol-str", "dps-str", "d-str"],
 )
 def test_a_non_real_argument_is_named_by_type_and_repr(call, message):
     # "got 1" for the string "1" would read as if the number 1 were rejected
@@ -83,8 +87,8 @@ def test_a_non_real_argument_is_named_by_type_and_repr(call, message):
     [
         (lambda: check_z(-1), "shift parameter z must be positive and finite, got -1"),
         (lambda: check_z(Fraction(-1)), "shift parameter z must be positive and finite, got -1"),
-        (lambda: ellip_k(1.5), "modulus must satisfy 0 <= k < 1, got 1.5"),
-        (lambda: inner_integral_closed(1, 1.5), "t must lie in [0, 1)"),
+        (lambda: ellip_k(1.5), "modulus k must lie in [0, 1), got 1.5"),
+        (lambda: inner_integral_closed(1, 1.5), "t must lie in [0, 1), got 1.5"),
         (lambda: check_tol(-1), "tol must be positive and finite, got -1"),
     ],
     ids=["z-int", "z-fraction", "k-float", "t-float", "tol-int"],
@@ -111,13 +115,32 @@ def test_shown_clips_a_long_value_to_its_head_and_length():
         lambda: IntegralSpec(-(10**5000), 1),
         lambda: IntegralSpec(0, -(10**5000)),
         lambda: IntegralSpec(0, Fraction(-(10**5000), 3)),
+        lambda: Precision(dps=-(10**5000)),
+        lambda: QuadExt(1, 1, -(10**5000)),
     ],
-    ids=["check_z", "check_index", "closed_form", "spec-n", "spec-z", "spec-z-fraction"],
+    ids=["check_z", "check_index", "closed_form", "spec-n", "spec-z", "spec-z-fraction", "dps", "quadext-d"],
 )
 def test_a_number_too_long_for_str_is_named_by_sign_and_digit_count(call):
     # Python refuses str() on an int of more than 4300 digits
     with pytest.raises(DomainError, match="got a negative (int of 5001|Fraction of 5001/1) digits$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: QuadExt(1, 1, 10**5000),
+        lambda: square_part(10**5000 + 1),
+        lambda: make_exact_value(1, 10**5000 + 1, 0, 1),
+        lambda: SpecialPoint("x", 10**5000, Fraction(1, 4)),
+    ],
+    ids=["quadext-d", "square_part", "make_exact_value", "special-point-z"],
+)
+def test_an_exact_argument_too_long_for_str_is_a_domain_error(call):
+    # the value is named by its digit count, or, for a special point's z, not at all
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert len(str(caught.value)) <= 200
 
 
 def test_shown_names_a_number_too_long_for_str_by_its_digit_counts():

@@ -490,6 +490,38 @@ def test_inner_grid_matches_pointwise_and_unfactored_integrand():
                 assert abs(got - reference) <= mpf("1e-45")
 
 
+@pytest.mark.parametrize("dps", [40, 60, 100])
+def test_inner_grid_z_parts_within_one_ulp_of_a_reference_at_twice_the_precision(monkeypatch, dps):
+    """Each z-part x·w/(z+x²)^(3/2) of the inner grid is right to 2^-wp relative.
+
+    At t = 0 the t-part is exactly 1, so each term is its z-part.  The
+    reference takes x·w and x² as exact, as the grid does, and z as the grid
+    reads it at the working precision.
+    """
+    z_grid = [Fraction(1, 10**30), Fraction(1, 10), 1, Fraction(67, 10), 10**8]
+    checked = []
+
+    def compare_terms(samples, members, p):
+        assert members == len(z_grid)
+        wp = mpmath.mp.prec
+        zs = [to_mpf(z) for z in z_grid]
+        live = list(range(members))
+        for level in range(4):
+            for terms, node in zip(samples(level, live), quadrature._level_nodes(level)):
+                x, weight = node[:2]
+                with mpmath.workprec(2 * wp):
+                    xw, xx = x * weight, x * x  # exact: 2·wp bits hold each product
+                    for (man, exp), z in zip(terms, zs):
+                        want = xw / (z + xx) ** mpf(1.5)
+                        assert abs(mpmath.ldexp(man, exp) - want) <= mpmath.ldexp(want, -wp)
+                        checked.append(man)
+        return [quadrature.QuadratureResult(mpf(0), mpf(0), 0, 0)] * members
+
+    monkeypatch.setattr(quadrature, "_refine", compare_terms)
+    inner_integral_numeric_grid(z_grid, [0], Precision(dps=dps))
+    assert len(checked) > 60 * len(z_grid)
+
+
 @pytest.mark.parametrize(
     "z,t",
     [(1, -0.5), (1, 1), (1, 1.5), (0, 0.5), (-1, 0.5), (1, "0.5"), (1, None), (1, 0.5j)],

@@ -275,6 +275,13 @@ def test_make_exact_value_rejects_what_is_not_exact_as_a_domain_error(bad, posit
         make_exact_value(*args)
 
 
+@pytest.mark.parametrize("args", [(0, -5, 1, 1), (1, 1, 0, -5)], ids=["pi", "alg"])
+def test_make_exact_value_checks_a_radical_under_a_zero_coefficient(args):
+    # a zero term drops its radical, but a negative one is still no surd
+    with pytest.raises(DomainError, match="surd radicand must be positive"):
+        make_exact_value(*args)
+
+
 def test_make_exact_value_takes_rationals():
     lifted = make_exact_value(qe(F(1, 4)), qe(2), qe(0), qe(1))
     assert make_exact_value(F(1, 4), 2, 0, 1) == lifted
