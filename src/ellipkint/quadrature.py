@@ -51,7 +51,7 @@ class QuadratureResult:
                     level 1 or when d_(L−1) is 0); inf if it stopped at level 0
     levels_used     the level it stopped on; a converged result has at
                     least MIN_STOP_LEVEL (3)
-    evaluations     integrand evaluations made
+    evaluations     terms summed, one per node of levels 0..levels_used
     converged       error_estimate <= abs_tol was met
     """
 
@@ -138,61 +138,65 @@ def _pair(raw: tuple, x) -> tuple[int, int]:
     return -man if sign else man, exp
 
 
-def _root_of_sum(a: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
-    """√(a+b) for pairs a, b >= 0, a+b > 0, as (r, e): r = ⌊√(a+b)/2^e⌋ of exactly `bits` bits.
+def _roots(z: tuple[int, int], squares, bits: int) -> list[tuple[int, int]]:
+    """√(z+x²) for one pair z > 0 over a level's x² pairs, each as (r, e): r = ⌊√(z+x²)/2^e⌋ of exactly `bits` bits.
 
-    a + b is summed exactly, and a sum longer than 2·bits bits is cut there,
+    z + x² is summed exactly, and a sum longer than 2·bits bits is cut there,
     which leaves the floor as it is.  So r >> k is the root taken at
     bits − k, bit for bit.
     """
-    (am, ae), (bm, be) = a, b
-    e = min(ae, be)
-    s = (am << (ae - e)) + (bm << (be - e))
-    shift = 2 * bits - s.bit_length()
-    shift += (e - shift) & 1  # the exponent of the root's argument must be even
-    s = s << shift if shift >= 0 else s >> -shift
-    r, e = math.isqrt(s), (e - shift) >> 1
-    extra = r.bit_length() - bits  # 1 when s had 2·bits + 1 bits, else 0
-    return r >> extra, e + extra
+    zm, ze = z
+    isqrt, roots = math.isqrt, []
+    for xm, xe in squares:
+        if ze < xe:
+            e, s = ze, zm + (xm << (xe - ze))
+        else:
+            e, s = xe, (zm << (ze - xe)) + xm
+        shift = 2 * bits - s.bit_length()
+        shift += (e - shift) & 1  # the exponent of the root's argument must be even
+        r = isqrt(s << shift if shift >= 0 else s >> -shift)
+        extra = r.bit_length() - bits  # 1 when s had 2·bits + 1 bits, else 0
+        roots.append((r >> extra, ((e - shift) >> 1) + extra))
+    return roots
 
 
-def _quotient(kernel: tuple[int, int], root: tuple[int, int], power: int, bits: int) -> tuple[int, int]:
-    """kernel/root^power as a pair whose mantissa has `bits` or bits+1 bits.
+def _quotients(kernels, roots, power: int, bits: int) -> list[tuple[int, int]]:
+    """kernel/root^power over a level's (kernel, root) pairs, each mantissa of `bits` or bits+1 bits.
 
-    The root is first cut to `bits` bits (see _root_of_sum), so the term
-    does not depend on which other members share the root.  The power is
-    binary powering, its product cut back to `bits` bits after each step;
-    its relative error is below (power + 2·log2(power))·2^(1−bits) over the
+    Each root is first cut to `bits` bits (see _roots), so a term does not
+    depend on which other members share the roots.  The power is binary
+    powering, its product cut back to `bits` bits after each step; its
+    relative error is below (power + 2·log2(power))·2^(1−bits) over the
     root's, and the quotient's truncation adds 2^(1−bits).
     """
-    (km, ke), (r, re) = kernel, root
-    drop = r.bit_length() - bits
-    r, re = r >> drop, re + drop
-    p, pe = r, 0  # p·2^pe = r^j, j the leading bits of power read so far
-    for bit in bin(power)[3:]:
-        p *= p
-        pe *= 2
-        if bit == "1":
-            p *= r
-        extra = p.bit_length() - bits
-        if extra > 0:
+    steps = [bit == "1" for bit in bin(power)[3:]]  # power >= 2: every step squares
+    terms = []
+    for (km, ke), (r, re) in zip(kernels, roots):
+        drop = r.bit_length() - bits
+        r >>= drop
+        p, pe = r, 0  # p·2^pe = r^j, j the leading bits of power read so far
+        for times_r in steps:
+            p = p * p * r if times_r else p * p
+            extra = p.bit_length() - bits  # > 0: p had `bits` bits before the step
             p >>= extra
-            pe += extra
-    shift = bits + p.bit_length() - km.bit_length()
-    return (km << shift) // p, ke - shift - pe - power * re
+            pe = 2 * pe + extra
+        shift = 2 * bits - km.bit_length()  # p has `bits` bits after its last step
+        terms.append(((km << shift) // p, ke - shift - pe - power * (re + drop)))
+    return terms
 
 
 def _refine(samples, members: int, prec: Precision) -> list[QuadratureResult]:
     """The level loop of every quadrature here: many sums over one pass of the nodes.
 
-    samples(level, live) yields, for each node new on that level, the list
-    of its terms f(x)·weight, terms[j] for member live[j], each an exact
-    (signed mantissa, exponent) pair of ints.  A member's sum is one exact
-    integer in units of 2^floor, floor lying wp + 64 bits below the leading
-    bit of its first nonzero term, wp the working precision in bits.  Only
-    the bits of a term below 2^floor are dropped, less than 2^floor per
-    term.  Once per level the sum is rounded to nearest at wp; its value at
-    level L is that sum over 2^(L+1), the weights being those of (-1, 1).
+    samples(level, live) yields, for each member in live in that order, the
+    list of its terms f(x)·weight over the nodes new on that level, each an
+    exact (signed mantissa, exponent) pair of ints.  A member's sum is one
+    exact integer in units of 2^floor, floor lying wp + 64 bits below the
+    leading bit of its first nonzero term in node order, wp the working
+    precision in bits.  Only the bits of a term below 2^floor are dropped,
+    less than 2^floor per term.  Once per level the sum is rounded to
+    nearest at wp; its value at level L is that sum over 2^(L+1), the
+    weights being those of (-1, 1).
 
     Tanh-sinh about doubles its correct digits per level, so with
     d_L = |S_L − S_(L−1)| the error of S_L is estimated as d_L²/d_(L−1), or
@@ -216,16 +220,15 @@ def _refine(samples, members: int, prec: Precision) -> list[QuadratureResult]:
     for level in range(MAX_LEVEL + 1):
         if not live:
             break
-        for terms in samples(level, live):
-            for i, (man, exp) in zip(live, terms):
-                floor = floors[i]
-                if floor is None:
-                    if not man:
-                        continue
-                    floor = floors[i] = exp + man.bit_length() - 1 - (wp + 64)
-                shift = exp - floor
-                sums[i] += man << shift if shift >= 0 else man >> -shift
-            evaluations += 1
+        for i, terms in zip(live, samples(level, live)):
+            floor = floors[i]
+            if floor is None:
+                man, exp = next((term for term in terms if term[0]), (0, 0))
+                if not man:
+                    continue
+                floor = floors[i] = exp + man.bit_length() - 1 - (wp + 64)
+            sums[i] += sum([man << (exp - floor) if exp >= floor else man >> (floor - exp) for man, exp in terms])
+        evaluations += len(terms)
         for i in live:
             exp = (floors[i] or 0) - (level + 1)
             current = mpmath.mp.make_mpf(from_man_exp(sums[i], exp, wp, round_nearest))
@@ -261,11 +264,13 @@ def tanh_sinh_integrate(f, prec: Precision = DEFAULT_PRECISION) -> QuadratureRes
     with prec.workdps():
 
         def samples(level, live):
+            terms = []
             for x, weight, _ in _level_nodes(level):
                 term = getattr(f(x) * weight, "_mpf_", None)
                 if term is None:
                     raise DomainError(f"integrand not real at {x}")
-                yield (_pair(term, x),)
+                terms.append(_pair(term, x))
+            yield terms
 
         return _refine(samples, 1, prec)[0]
 
@@ -292,16 +297,18 @@ def integral_In_numeric_many(specs, prec: Precision = DEFAULT_PRECISION) -> list
         bits = {power: wp + power.bit_length() + _GUARD_BITS for _, power in params}
         widest = max(bits.values(), default=0)
 
-        # kernel/(z+x²)^((2n+3)/2) on ints: z+x² exact, its root by isqrt,
-        # the power and the quotient truncated to wp + _GUARD_BITS bits over
-        # the power's bit length; the root depends on z alone, so the members
-        # at one z share it, taken at the widest member's bits
+        # kernel/(z+x²)^((2n+3)/2) on ints, a level per member: z+x² exact, its
+        # root by isqrt, the power and the quotient truncated to wp + _GUARD_BITS
+        # bits over the power's bit length; the roots depend on z alone, so the
+        # members at one z share a level's roots, taken at the widest member's bits
         def samples(level, live):
-            members = [params[i] for i in live]
-            live_z = {z: z[1:3] for z, _ in members}  # z > 0: its raw (man, exp)
-            for xx, kernel in _level_kernel(level, prec):
-                roots = {z: _root_of_sum(pair, xx, widest) for z, pair in live_z.items()}
-                yield [_quotient(kernel, roots[z], power, bits[power]) for z, power in members]
+            squares, kernels = zip(*_level_kernel(level, prec))
+            roots = {}
+            for i in live:
+                z, power = params[i]
+                if z not in roots:
+                    roots[z] = _roots(z[1:3], squares, widest)  # z > 0: its raw (man, exp)
+                yield _quotients(kernels, roots[z], power, bits[power])
 
         distinct = dict(zip(params, _refine(samples, len(params), prec)))
     results = [distinct[key] for key in keys]
@@ -342,18 +349,18 @@ def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECIS
         bits = mpmath.mp.prec + (3).bit_length() + _GUARD_BITS  # the batch's width at power 3
 
         def samples(level, live):
-            pairs = [divmod(i, width) for i in live]
-            live_z = {iz for iz, _ in pairs}
-            live_t = {it for _, it in pairs}
-            for x, weight, xx in _level_nodes(level):
-                xw = (x.man * weight.man, x.exp + weight.exp)
-                z_part = {iz: _quotient(xw, _root_of_sum(zs[iz], xx, bits), 3, bits) for iz in live_z}
-                t_part = {it: _pair((1 / mpmath.sqrt(1 - (x * ts[it]) ** 2))._mpf_, x) for it in live_t}
-                terms = []
-                for iz, it in pairs:  # each pair's term is the exact product
-                    (zm, ze), (tm, te) = z_part[iz], t_part[it]
-                    terms.append((zm * tm, ze + te))
-                yield terms
+            nodes = _level_nodes(level)
+            squares = [xx for _, _, xx in nodes]
+            xws = [(x.man * weight.man, x.exp + weight.exp) for x, weight, _ in nodes]
+            z_parts, t_parts = {}, {}
+            for i in live:
+                iz, it = divmod(i, width)
+                if iz not in z_parts:
+                    z_parts[iz] = _quotients(xws, _roots(zs[iz], squares, bits), 3, bits)
+                if it not in t_parts:
+                    t_parts[it] = [_pair((1 / mpmath.sqrt(1 - (x * ts[it]) ** 2))._mpf_, x) for x, _, _ in nodes]
+                # each pair's term is the exact product
+                yield [(zm * tm, ze + te) for (zm, ze), (tm, te) in zip(z_parts[iz], t_parts[it])]
 
         results = _refine(samples, len(zs) * width, prec)
     for i, result in enumerate(results):

@@ -76,9 +76,9 @@ class SpecialPoint:
         if is_rational(self.z):
             object.__setattr__(self, "z", QuadExt._coerce(self.z))
         if not isinstance(self.z, QuadExt):
-            raise DomainError(f"special point z must be a QuadExt, int or Fraction, got {self.z!r}")
+            raise DomainError(f"special point z must be a QuadExt, int or Fraction, got {shown(self.z)}")
         if not is_rational(self.theta_over_pi):
-            raise DomainError(f"theta/pi must be an int or Fraction, got {self.theta_over_pi!r}")
+            raise DomainError(f"theta/pi must be an int or Fraction, got {shown(self.theta_over_pi)}")
         if self.z.sign() <= 0:
             raise DomainError("special point must have z > 0")
         if not 0 < self.theta_over_pi < Fraction(1, 2):
@@ -161,7 +161,7 @@ def make_exact_value(pi_raw, pi_radical, alg_raw, alg_radical) -> ExactValue:
     named = {"pi_raw": pi_raw, "pi_radical": pi_radical, "alg_raw": alg_raw, "alg_radical": alg_radical}
     for name, x in named.items():
         if not (isinstance(x, QuadExt) or is_rational(x)):
-            raise DomainError(f"{name} must be a QuadExt, int or Fraction, got {type(x).__name__} {x!r}")
+            raise DomainError(f"{name} must be a QuadExt, int or Fraction, got {shown(x)}")
     pi_coeff, pi_surd = _normalized_term(pi_raw, pi_radical)
     alg_coeff, alg_surd = _normalized_term(alg_raw, alg_radical)
     return ExactValue(pi_coeff, pi_surd, alg_coeff, alg_surd)

@@ -133,11 +133,23 @@ def test_a_number_too_long_for_str_is_named_by_sign_and_digit_count(call):
         lambda: square_part(10**5000 + 1),
         lambda: make_exact_value(1, 10**5000 + 1, 0, 1),
         lambda: SpecialPoint("x", 10**5000, Fraction(1, 4)),
+        lambda: make_exact_value("x" * 10**5, 2, 0, 1),
+        lambda: SpecialPoint("x", "y" * 10**5, Fraction(1, 4)),
+        lambda: SpecialPoint("x", 1, "q" * 10**5),
     ],
-    ids=["quadext-d", "square_part", "make_exact_value", "special-point-z"],
+    ids=[
+        "quadext-d",
+        "square_part",
+        "make_exact_value",
+        "special-point-z",
+        "make_exact_value-str",
+        "special-point-z-str",
+        "special-point-theta-str",
+    ],
 )
 def test_an_exact_argument_too_long_for_str_is_a_domain_error(call):
-    # the value is named by its digit count, or, for a special point's z, not at all
+    # the value is named by its digit count, or, for a special point's z, not
+    # at all; a long string by its clipped head and its length
     with pytest.raises(DomainError) as caught:
         call()
     assert len(str(caught.value)) <= 200

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from ellipkint import (
 from ellipkint import quadrature
 from ellipkint.precision import to_mpf
 from ellipkint.quadrature import MIN_STOP_LEVEL
+from ellipkint.verify import DEFAULT_Z_GRID, INNER_T_GRID, INNER_Z_GRID
 
 PREC = Precision()
 
@@ -377,10 +379,11 @@ def test_batch_terms_within_one_ulp_of_a_reference_at_twice_the_precision(monkey
         live = list(range(members))
         for level in range(4):
             table = quadrature._level_kernel(level, p)
-            for terms, ((xm, xe), (km, ke)) in zip(samples(level, live), table):
+            for terms, (z, exponent) in zip(samples(level, live), params):
+                assert len(terms) == len(table)
                 with mpmath.workprec(2 * wp):
-                    xx, kernel = mpmath.ldexp(xm, xe), mpmath.ldexp(km, ke)
-                    for (man, exp), (z, exponent) in zip(terms, params):
+                    for (man, exp), ((xm, xe), (km, ke)) in zip(terms, table):
+                        xx, kernel = mpmath.ldexp(xm, xe), mpmath.ldexp(km, ke)
                         want = kernel / (z + xx) ** exponent
                         assert abs(mpmath.ldexp(man, exp) - want) <= mpmath.ldexp(want, -wp)
                         checked.append(man)
@@ -447,8 +450,8 @@ def test_level_sums_are_the_exact_sum_rounded_once(monkeypatch):
             table = _synthetic_terms(random.Random(f"sums-{max_level}"), wp)
 
             def samples(level, live):
-                for row in table[level]:
-                    yield [row[i] for i in live]
+                for i in live:
+                    yield [row[i] for row in table[level]]
 
             results = quadrature._refine(samples, 5, prec)
             for i, result in enumerate(results):
@@ -507,11 +510,12 @@ def test_inner_grid_z_parts_within_one_ulp_of_a_reference_at_twice_the_precision
         zs = [to_mpf(z) for z in z_grid]
         live = list(range(members))
         for level in range(4):
-            for terms, node in zip(samples(level, live), quadrature._level_nodes(level)):
-                x, weight = node[:2]
+            nodes = quadrature._level_nodes(level)
+            for terms, z in zip(samples(level, live), zs):
+                assert len(terms) == len(nodes)
                 with mpmath.workprec(2 * wp):
-                    xw, xx = x * weight, x * x  # exact: 2·wp bits hold each product
-                    for (man, exp), z in zip(terms, zs):
+                    for (man, exp), (x, weight, _) in zip(terms, nodes):
+                        xw, xx = x * weight, x * x  # exact: 2·wp bits hold each product
                         want = xw / (z + xx) ** mpf(1.5)
                         assert abs(mpmath.ldexp(man, exp) - want) <= mpmath.ldexp(want, -wp)
                         checked.append(man)
@@ -581,3 +585,36 @@ def test_far_field_specs_right_relative_to_their_value(n, z):
     with reference.workdps():
         exact = In_exact_real(n, z, reference)
         assert abs(result.value / exact - 1) <= mpf("1e-15")
+
+
+# -- the numeric route, pinned bit for bit --
+
+# one z in each quarter of [1/10, 10] on a log scale, as the benchmark's sweep draws them
+PINNED_Z = (Fraction(9, 65), Fraction(37, 53), Fraction(45, 26), Fraction(453, 92))
+# sha256 of every result below, computed before the quadrature formed its
+# terms a level at a time per member; any one-ulp change moves it
+NUMERIC_ROUTE_SHA256 = "24c2754207a5b8110129455ce07eee7b36abb9c54468e22bd62e748be9c4927d"
+
+
+def _pinned(*parts) -> str:
+    """parts as plain ints: an mpf by its raw tuple, whatever mpmath's backend."""
+    return repr(tuple(tuple(map(int, p._mpf_)) if isinstance(p, mpf) else p for p in parts))
+
+
+def test_numeric_route_is_pinned_bit_for_bit():
+    lines = []
+    pools = [
+        (Precision(dps=40, abs_tol=1e-12), [IntegralSpec(n, z) for n in range(17) for z in PINNED_Z]),
+        (
+            Precision(dps=60, abs_tol=1e-30),
+            [IntegralSpec(n, PINNED_Z[(n + half) % 4]) for n in range(17) for half in (0, 2)],
+        ),
+    ]
+    for prec, specs in pools:
+        for r in integral_In_numeric_many(specs, prec):
+            lines.append(_pinned(r.value, r.error_estimate, r.levels_used, r.evaluations, r.converged))
+    for row in inner_integral_numeric_grid(INNER_Z_GRID, INNER_T_GRID, PREC):
+        lines.append(_pinned(*row))
+    lines.append(_pinned(*(I0_via_swap(z, PREC) for z in DEFAULT_Z_GRID)))
+    assert len(lines) == 68 + 34 + 10 + 1
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == NUMERIC_ROUTE_SHA256
