@@ -320,17 +320,15 @@ def integral_In_numeric_many(specs, prec: Precision = DEFAULT_PRECISION) -> list
     return results
 
 
-def _inner_closed(z: mpf, t: mpf, root_z: mpf, root_1z: mpf, root_t: mpf) -> mpf:
-    """inner_integral_closed given root_z = √z, root_1z = √(1+z) and root_t = √((1−t)(1+t))."""
-    denom = 1 + z * t * t
-    return 1 / (root_z * denom) - root_t / (root_1z * denom)
-
-
 def inner_integral_closed(z, t) -> mpf:
-    """1/(√z·(1+z·t²)) − √(1−t²)/(√(1+z)·(1+z·t²)) for z > 0, 0 <= t < 1."""
+    """1/(√z·√(1+z)·(√(1+z) + √z·√(1−t²))) for z > 0, 0 <= t < 1.
+
+    This is 1/(√z·(1+z·t²)) − √(1−t²)/(√(1+z)·(1+z·t²)) without its
+    subtraction, which cancels at small t and large z.
+    """
     z, t = check_z(z), check_unit_interval(t, "t")
-    root_t = mpmath.sqrt((1 - t) * (1 + t))
-    return _inner_closed(z, t, mpmath.sqrt(z), mpmath.sqrt(1 + z), root_t)
+    root_z, root_1z = mpmath.sqrt(z), mpmath.sqrt(1 + z)
+    return 1 / (root_z * root_1z * (root_1z + root_z * mpmath.sqrt((1 - t) * (1 + t))))
 
 
 def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECISION) -> list[list[mpf]]:
@@ -338,15 +336,30 @@ def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECIS
 
     Returns rows over z_grid of values over t_grid.  The integrand factors
     into x·w/(z+x²)^(3/2), formed on ints as a batch term of power 3 over the
-    exact x·w, within one ulp, and 1/√(1−x²t²), one mpf root per t; every
-    pair keeps its own sum and stop rule.  Nothing is kept between calls.
+    exact x·w, within one ulp, and 1/√(1−x²t²) = ⌊√(2^k/s)⌋·2^(−(k+e)/2)
+    over the exact s·2^e = 1−x²t², of bits+1 bits or more and so within
+    2^(−bits) relative, bits = wp + 10 being the z-part's width over the
+    working precision wp; every pair keeps its own sum and stop rule.
+    Nothing is kept between calls.
     """
     z_grid, t_grid = list(z_grid), list(t_grid)
     with prec.workdps():
         zs = [check_z(z)._mpf_[1:3] for z in z_grid]  # z > 0: its raw (man, exp)
-        ts = [check_unit_interval(t, "t") for t in t_grid]
+        # t² as an exact (man, exp) pair; t = 0 is (0, 0)
+        ts = [(t.man * t.man, 2 * t.exp) for t in (check_unit_interval(t, "t") for t in t_grid)]
         width = len(ts)
         bits = mpmath.mp.prec + (3).bit_length() + _GUARD_BITS  # the batch's width at power 3
+        isqrt = math.isqrt
+
+        def t_part(squares, tm, te) -> list[tuple[int, int]]:
+            parts = []
+            for xm, xe in squares:
+                e = xe + te  # < 0: x < 1, and t < 1 or t = 0
+                s = (1 << -e) - xm * tm
+                k = 2 * bits + s.bit_length()
+                k += (k + e) & 1
+                parts.append((isqrt((1 << k) // s), -((k + e) >> 1)))
+            return parts
 
         def samples(level, live):
             nodes = _level_nodes(level)
@@ -358,7 +371,7 @@ def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECIS
                 if iz not in z_parts:
                     z_parts[iz] = _quotients(xws, _roots(zs[iz], squares, bits), 3, bits)
                 if it not in t_parts:
-                    t_parts[it] = [_pair((1 / mpmath.sqrt(1 - (x * ts[it]) ** 2))._mpf_, x) for x, _, _ in nodes]
+                    t_parts[it] = t_part(squares, *ts[it])
                 # each pair's term is the exact product
                 yield [(zm * tm, ze + te) for (zm, ze), (tm, te) in zip(z_parts[iz], t_parts[it])]
 
@@ -376,17 +389,30 @@ def I0_via_swap(z, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """I_0(z) as the order-swapped iterated integral.
 
     Outer t-integral of the closed inner form against the 1/√(1−t²) weight;
-    independent of the direct (n=0, z) quadrature route.
+    independent of the direct (n=0, z) quadrature route.  That integrand is
+    1/(r·c·(c+r)), r = √(z·(1−t²)) and c = √(1+z), formed on ints: r over
+    the exact z·(1−x²) and c once, each by _roots, c+r and the product
+    exact, then one truncated quotient, within 2^(3−bits) relative, bits
+    = wp + 8 over the working precision wp.
     """
     with prec.workdps():
-        z = check_z(z)
-        root_z, root_1z = mpmath.sqrt(z), mpmath.sqrt(1 + z)
+        zm, ze = check_z(z)._mpf_[1:3]  # z > 0: its raw (man, exp)
+        bits = mpmath.mp.prec + _GUARD_BITS
+        [(c, ce)] = _roots((zm, ze), [(1, 0)], bits)
 
-        def integrand(t):
-            root_t = mpmath.sqrt((1 - t) * (1 + t))
-            return _inner_closed(z, t, root_z, root_1z, root_t) / root_t
+        def samples(level, live):
+            nodes = _level_nodes(level)
+            # z·(1−x²), exact: x < 1, so x²'s exponent is negative; its root is √(0 + z·(1−x²))
+            products = [(zm * ((1 << -xe) - xm), ze + xe) for _, _, (xm, xe) in nodes]
+            terms = []
+            for (_, weight, _), (r, re) in zip(nodes, _roots((0, 0), products, bits)):
+                s, se = (c + (r << (re - ce)), ce) if re >= ce else ((c << (ce - re)) + r, re)
+                p = r * c * s
+                shift = bits + 1 + p.bit_length() - weight.man.bit_length()
+                terms.append(((weight.man << shift) // p, weight.exp - shift - re - ce - se))
+            yield terms
 
-        result = tanh_sinh_integrate(integrand, prec)
-        if not result.converged:
-            raise ToleranceNotReached(f"I0_via_swap({shown(z)}) did not converge", result)
-        return result.value
+        result = _refine(samples, 1, prec)[0]
+    if not result.converged:
+        raise ToleranceNotReached(f"I0_via_swap({shown(z)}) did not converge", result)
+    return result.value

@@ -147,6 +147,25 @@ def test_inner_closed_direct_substitutions():
         assert abs(inner_integral_closed(4, 0.5) - expected) < mpf("1e-38")
 
 
+@pytest.mark.parametrize("dps", [20, 50, 100])
+def test_inner_closed_within_a_few_ulps_of_a_400_digit_reference(dps):
+    """inner_integral_closed is right to 8 ulps relative, also at small t and large z.
+
+    The reference is the subtractive form 1/(√z·(1+z·t²)) − √(1−t²)/(√(1+z)·(1+z·t²))
+    at 400 digits, over z and t as the closed form reads them.  That form
+    at the working precision cancels: at 50 digits it read (10^30, 0) right to 4e-21.
+    """
+    with mpmath.workdps(dps):
+        prec = mpmath.mp.prec
+        for z in (Fraction(1, 10**30), Fraction(1, 10), 1, 10**8, 10**20, 10**30):
+            for t in (0, Fraction(1, 10**20), Fraction(1, 2), Fraction(19, 20)):
+                got, zf, tf = inner_integral_closed(z, t), to_mpf(z), to_mpf(t)
+                with mpmath.workdps(400):
+                    denom = 1 + zf * tf * tf
+                    want = 1 / (mpmath.sqrt(zf) * denom) - mpmath.sqrt(1 - tf * tf) / (mpmath.sqrt(1 + zf) * denom)
+                    assert abs(got - want) <= mpmath.ldexp(want, 3 - prec), (z, t)
+
+
 @pytest.mark.parametrize("z,t", [(1, 0.5), (3, 0.9), (Fraction(1, 10), 0.05)])
 def test_inner_numeric_matches_closed(z, t):
     got = inner_integral_numeric_grid([z], [t], PREC)[0][0]
@@ -526,6 +545,78 @@ def test_inner_grid_z_parts_within_one_ulp_of_a_reference_at_twice_the_precision
     assert len(checked) > 60 * len(z_grid)
 
 
+@pytest.mark.parametrize("dps", [40, 60, 100])
+def test_inner_grid_t_parts_within_one_ulp_of_a_reference_at_twice_the_precision(monkeypatch, dps):
+    """Each t-part 1/√(1−x²t²) of the inner grid is right to 2^-bits relative, bits = wp + 10.
+
+    The first t is 0, whose t-part is exactly 1, so a term over the term at
+    t = 0 is its t-part.  The reference takes x² as exact, as the grid does,
+    and t as the grid reads it at the working precision.
+    """
+    t_grid = [0, Fraction(1, 20), Fraction(19, 20), 1 - Fraction(1, 2**60)]
+    checked = []
+
+    def compare_terms(samples, members, p):
+        assert members == len(t_grid)
+        wp = mpmath.mp.prec
+        ts = [to_mpf(t) for t in t_grid]
+        live = list(range(members))
+        for level in range(4):
+            nodes = quadrature._level_nodes(level)
+            (base, *rows) = samples(level, live)
+            for terms, t in zip(rows, ts[1:]):
+                assert len(terms) == len(nodes)
+                with mpmath.workprec(2 * wp):
+                    for (man, exp), (bm, be), (_, _, (xm, xe)) in zip(terms, base, nodes):
+                        got = mpmath.ldexp(mpf(man) / bm, exp - be)
+                        want = 1 / mpmath.sqrt(1 - mpmath.ldexp(xm, xe) * t * t)
+                        assert abs(got - want) <= mpmath.ldexp(want, -(wp + 10))
+                        checked.append(man)
+        return [quadrature.QuadratureResult(mpf(0), mpf(0), 0, 0)] * members
+
+    monkeypatch.setattr(quadrature, "_refine", compare_terms)
+    inner_integral_numeric_grid([Fraction(67, 10)], t_grid, Precision(dps=dps))
+    assert len(checked) > 60 * (len(t_grid) - 1)
+
+
+@pytest.mark.parametrize("dps", [40, 60, 100])
+def test_swap_terms_within_one_ulp_of_a_reference_at_twice_the_precision(monkeypatch, dps):
+    """Each term w/(r·c·(c+r)) of I0_via_swap is right to 2^(3−bits) relative, bits = wp + 8.
+
+    The reference is the subtractive integrand [1/(√z·(1+z·x²)) − √(1−x²)/(√(1+z)·(1+z·x²))]/√(1−x²)
+    times w at twice the precision, which leaves it above 2·wp − 101 bits at z = 10^30.
+    It takes x² and w as exact, as the terms do, and z as I0_via_swap reads it.
+    """
+    z_grid = [Fraction(1, 10**30), Fraction(1, 10**8), Fraction(1, 10), 1, Fraction(67, 10), 10**8, 10**20, 10**30]
+    checked = []
+
+    def compare_terms_at(z):
+        def compare_terms(samples, members, p):
+            assert members == 1
+            wp = mpmath.mp.prec
+            zf = to_mpf(z)
+            for level in range(4):
+                nodes = quadrature._level_nodes(level)
+                (terms,) = samples(level, [0])
+                assert len(terms) == len(nodes)
+                with mpmath.workprec(2 * wp):
+                    for (man, exp), (_, weight, (xm, xe)) in zip(terms, nodes):
+                        xx = mpmath.ldexp(xm, xe)
+                        root_t, denom = mpmath.sqrt(1 - xx), 1 + zf * xx
+                        inner = 1 / (mpmath.sqrt(zf) * denom) - root_t / (mpmath.sqrt(1 + zf) * denom)
+                        want = weight * inner / root_t
+                        assert abs(mpmath.ldexp(man, exp) - want) <= mpmath.ldexp(want, 3 - (wp + 8)), (z, level)
+                        checked.append(man)
+            return [quadrature.QuadratureResult(mpf(0), mpf(0), 0, 0)]
+
+        return compare_terms
+
+    for z in z_grid:
+        monkeypatch.setattr(quadrature, "_refine", compare_terms_at(z))
+        I0_via_swap(z, Precision(dps=dps))
+    assert len(checked) > 60 * len(z_grid)
+
+
 @pytest.mark.parametrize(
     "z,t",
     [(1, -0.5), (1, 1), (1, 1.5), (0, 0.5), (-1, 0.5), (1, "0.5"), (1, None), (1, 0.5j)],
@@ -591,9 +682,12 @@ def test_far_field_specs_right_relative_to_their_value(n, z):
 
 # one z in each quarter of [1/10, 10] on a log scale, as the benchmark's sweep draws them
 PINNED_Z = (Fraction(9, 65), Fraction(37, 53), Fraction(45, 26), Fraction(453, 92))
-# sha256 of every result below, computed before the quadrature formed its
-# terms a level at a time per member; any one-ulp change moves it
-NUMERIC_ROUTE_SHA256 = "24c2754207a5b8110129455ce07eee7b36abb9c54468e22bd62e748be9c4927d"
+# sha256 of the batch's results below, unmoved since before the quadrature formed
+# its terms a level at a time per member; any one-ulp change moves it
+BATCH_SHA256 = "0f01701d40f4a920a785bb1112d84d784281001870ddcecef5570bb58d21c022"
+# sha256 of the inner grid's and the swap's values, taken once the grid's t-part and
+# the swap's integrand were formed on ints, with every verify report passing
+GRID_AND_SWAP_SHA256 = "465e12030a72fe866bd3d233d57d78c5c84289ec46a7237358c1d8ff9b101b0e"
 
 
 def _pinned(*parts) -> str:
@@ -601,8 +695,12 @@ def _pinned(*parts) -> str:
     return repr(tuple(tuple(map(int, p._mpf_)) if isinstance(p, mpf) else p for p in parts))
 
 
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_numeric_route_is_pinned_bit_for_bit():
-    lines = []
+    batch = []
     pools = [
         (Precision(dps=40, abs_tol=1e-12), [IntegralSpec(n, z) for n in range(17) for z in PINNED_Z]),
         (
@@ -612,9 +710,9 @@ def test_numeric_route_is_pinned_bit_for_bit():
     ]
     for prec, specs in pools:
         for r in integral_In_numeric_many(specs, prec):
-            lines.append(_pinned(r.value, r.error_estimate, r.levels_used, r.evaluations, r.converged))
-    for row in inner_integral_numeric_grid(INNER_Z_GRID, INNER_T_GRID, PREC):
-        lines.append(_pinned(*row))
-    lines.append(_pinned(*(I0_via_swap(z, PREC) for z in DEFAULT_Z_GRID)))
-    assert len(lines) == 68 + 34 + 10 + 1
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == NUMERIC_ROUTE_SHA256
+            batch.append(_pinned(r.value, r.error_estimate, r.levels_used, r.evaluations, r.converged))
+    grid_and_swap = [_pinned(*row) for row in inner_integral_numeric_grid(INNER_Z_GRID, INNER_T_GRID, PREC)]
+    grid_and_swap.append(_pinned(*(I0_via_swap(z, PREC) for z in DEFAULT_Z_GRID)))
+    assert (len(batch), len(grid_and_swap)) == (68 + 34, 10 + 1)
+    assert _digest(batch) == BATCH_SHA256
+    assert _digest(grid_and_swap) == GRID_AND_SWAP_SHA256
