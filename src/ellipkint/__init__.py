@@ -14,7 +14,7 @@ from .precision import (
     Precision,
     ToleranceNotReached,
 )
-from .quadfield import QuadExt, Surd, surd_normalize
+from .quadfield import QuadExt
 from .quadrature import (
     I0_via_swap,
     IntegralSpec,
@@ -23,7 +23,6 @@ from .quadrature import (
     inner_integral_numeric_grid,
     integral_In_numeric,
     integral_In_numeric_many,
-    tanh_sinh_integrate,
 )
 from . import render  # the module; the function is render.render
 from .render import exact_value_from_json
@@ -45,7 +44,6 @@ __all__ = [
     "DEFAULT_PRECISION",
     "DomainError",
     "ToleranceNotReached",
-    "tanh_sinh_integrate",
     "QuadratureResult",
     "IntegralSpec",
     "integral_In_numeric",
@@ -54,8 +52,6 @@ __all__ = [
     "inner_integral_closed",
     "I0_via_swap",
     "QuadExt",
-    "Surd",
-    "surd_normalize",
     "ClosedForm",
     "closed_form",
     "In_exact_real",

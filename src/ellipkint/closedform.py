@@ -76,25 +76,13 @@ def closed_form(n: int) -> ClosedForm:
     return _FORMS[n]
 
 
-def _horner(coefficients, x):
-    """sum(c * x**i for i, c in enumerate(coefficients)); x is mpf, or any ring element.
-
-    In_exact_real runs it on mpf; on a QuadExt it is the step-by-step
-    reference for quadfield._polyval_pair.
-    """
-    value = 0
-    for c in reversed(coefficients):
-        value = value * x + c
-    return value
-
-
 def In_exact_real(n: int, z, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """Floating-point evaluation of the closed-form route for I_n(z)."""
     form = closed_form(n)
     with prec.workdps():
         z = check_z(z)
         arccot = mpmath.atan(1 / mpmath.sqrt(z))
-        bracket = _horner(form.A, z) * arccot / mpmath.sqrt(z * (z + 1)) + _horner(
-            form.B, z
-        ) / mpmath.sqrt(z + 1)
+        # mpmath.polyval reads coefficients in descending powers; A_n and B_n ascend
+        a, b = mpmath.polyval(form.A[::-1], z), mpmath.polyval(form.B[::-1], z)
+        bracket = a * arccot / mpmath.sqrt(z * (z + 1)) + b / mpmath.sqrt(z + 1)
         return to_mpf(form.prefactor) * bracket / (z * (z + 1)) ** n

@@ -2,7 +2,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from ellipkint import DomainError, Precision, ellip_k, tanh_sinh_integrate
+from ellipkint import DomainError, Precision, ellip_k
 
 PREC = Precision()
 
@@ -59,13 +59,14 @@ def test_k_lower_bound_and_monotonic():
 
 @pytest.mark.parametrize("k", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
 def test_k_against_defining_integral(k):
-    # quadrature of the defining integral is the independent oracle
+    # mpmath.quad of the defining integral is the independent oracle
     k = mpf(k)
 
     def integrand(t):
         return 1 / mpmath.sqrt((1 - t * t) * (1 - (k * t) ** 2))
 
-    oracle = tanh_sinh_integrate(integrand, PREC).value
+    with PREC.workdps():
+        oracle = mpmath.quad(integrand, [0, 1])
     assert abs(ellip_k(k) - oracle) < 1e-10
 
 

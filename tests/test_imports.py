@@ -1,12 +1,16 @@
 """Every name a module of the package imports is used in that module.
 
-The package's __init__ is exempt: it imports names to re-export them.
+The package's __init__ is exempt: it imports names to re-export them.  Its
+namespace is checked instead: what it binds and what __all__ names agree.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import ellipkint
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ellipkint"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -32,3 +36,19 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+def test_the_package_namespace_matches_its_all():
+    public = {
+        name
+        for name, value in vars(ellipkint).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public <= set(ellipkint.__all__)
+    assert [name for name in ellipkint.__all__ if not hasattr(ellipkint, name)] == []
+
+
+@pytest.mark.parametrize("name", ["tanh_sinh_integrate", "Surd", "surd_normalize"])
+def test_a_removed_name_is_not_in_the_package_namespace(name):
+    # the integrator was removed; Surd and surd_normalize live in ellipkint.quadfield
+    assert not hasattr(ellipkint, name)

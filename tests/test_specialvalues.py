@@ -12,13 +12,12 @@ from ellipkint import (
     Precision,
     QuadExt,
     SpecialPoint,
-    Surd,
     eval_at_special,
     make_exact_value,
     relation,
 )
-from ellipkint.closedform import _horner, closed_form
-from ellipkint.quadfield import UNIT_SURD
+from ellipkint.closedform import closed_form
+from ellipkint.quadfield import UNIT_SURD, Surd
 from ellipkint.specialvalues import in1_pair
 
 F = Fraction
@@ -115,17 +114,24 @@ EXTRA_POINTS = (
 
 @pytest.mark.parametrize("point", [*CATALOG.values(), *EXTRA_POINTS], ids=lambda p: p.label)
 def test_eval_at_special_matches_field_arithmetic(point):
-    # the reference divides by (z(z+1))**n in QuadExt arithmetic and
-    # normalizes both surds in make_exact_value at every n
+    # the reference sums c·zⁱ over the powers of z and divides by (z(z+1))**n
+    # in QuadExt arithmetic, and normalizes both surds in make_exact_value at every n
     z = point.z
     w = z * (z + 1)
     power = QuadExt(1)
+    z_powers = [QuadExt(1)]  # z**i, extended as the forms grow
+
+    def at_z(coefficients):
+        while len(z_powers) < len(coefficients):
+            z_powers.append(z_powers[-1] * z)
+        return sum((c * p for c, p in zip(coefficients, z_powers)), QuadExt(0))
+
     for n in range(121):
         form = closed_form(n)
         expected = make_exact_value(
-            form.prefactor * point.theta_over_pi * _horner(form.A, z) / power,
+            form.prefactor * point.theta_over_pi * at_z(form.A) / power,
             w,
-            form.prefactor * _horner(form.B, z) / power,
+            form.prefactor * at_z(form.B) / power,
             z + 1,
         )
         assert eval_at_special(n, point) == expected, n
