@@ -96,6 +96,29 @@ def test_exact_real_published_values():
             assert abs(In_exact_real(n, z) - expected) < mpf("1e-35")
 
 
+@pytest.mark.parametrize("dps", [20, 50, 100])
+def test_exact_real_matches_exactly_evaluated_polynomials(dps):
+    # A_n(z) and B_n(z) summed as Fractions over running powers of z, then the
+    # bracket formed at three times the digits: In_exact_real must hold its dps
+    def at(coefficients, z):
+        total, power = F(0), F(1)
+        for c in coefficients:
+            total, power = total + c * power, power * z
+        return total
+
+    for z in (F(1, 10**6), F(1, 10), F(1), F(67, 10), F(10**8)):
+        for n in (0, 1, 2, 5, 10, 20, 40, 80, 120):
+            got = In_exact_real(n, z, Precision(dps=dps))
+            form = closed_form(n)
+            with mpmath.workdps(3 * dps):
+                zf = mpf(z.numerator) / z.denominator
+                a, b = (mpf(p.numerator) / p.denominator for p in (at(form.A, z), at(form.B, z)))
+                bracket = a * mpmath.acot(mpmath.sqrt(zf)) / mpmath.sqrt(zf * (zf + 1)) + b / mpmath.sqrt(zf + 1)
+                scale = mpf(form.prefactor.numerator) / form.prefactor.denominator
+                expected = scale * bracket / (zf * (zf + 1)) ** n
+                assert abs(got / expected - 1) < mpf(10) ** -dps, (n, z)
+
+
 def test_exact_real_domain():
     with pytest.raises(DomainError):
         In_exact_real(0, 0)
