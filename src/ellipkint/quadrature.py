@@ -122,13 +122,20 @@ def _level_kernel(level: int, prec: Precision) -> list[tuple[tuple[int, int], tu
     if cached is None:
         cached = []
         for x, weight, xx in _level_nodes(level):
-            raw = (ellip_k(x, prec) * x * weight)._mpf_
-            if raw in (finf, fninf, fnan):
-                raise DomainError(f"integrand not finite at {x}")
-            sign, man, exp, _ = raw
-            cached.append((xx, (-man if sign else man, exp)))
+            cached.append((xx, _pair((ellip_k(x, prec) * x * weight)._mpf_, x)))
         _KERNEL_CACHE[key] = cached
     return cached
+
+
+_NONFINITE = (finf, fninf, fnan)
+
+
+def _pair(raw: tuple, x) -> tuple[int, int]:
+    """A raw mpf tuple as its exact (signed mantissa, exponent) pair; DomainError if inf or nan."""
+    if raw in _NONFINITE:
+        raise DomainError(f"integrand not finite at {x}")
+    sign, man, exp, _ = raw
+    return -man if sign else man, exp
 
 
 def _roots(z: tuple[int, int], squares, bits: int) -> list[tuple[int, int]]:
@@ -242,6 +249,30 @@ def _refine(samples, members: int, prec: Precision) -> list[QuadratureResult]:
             value[i], estimate[i], MAX_LEVEL, evaluations, converged=False
         )
     return results
+
+
+def tanh_sinh_integrate(f, prec: Precision = DEFAULT_PRECISION) -> QuadratureResult:
+    """Integrate f over the open interval (0, 1).
+
+    f is never called at 0 or 1.  Refines level by level and stops at the
+    first level from MIN_STOP_LEVEL (3) on whose error estimate, d_L²/d_(L−1)
+    over the differences d_L of successive level sums, is at most
+    prec.abs_tol (see _refine).  If MAX_LEVEL (12) passes without one, or
+    prec.abs_tol is below one ulp of the sum, the best value is returned with
+    converged=False.  f must be real: a complex value raises DomainError.
+    """
+    with prec.workdps():
+
+        def samples(level, live):
+            terms = []
+            for x, weight, _ in _level_nodes(level):
+                term = getattr(f(x) * weight, "_mpf_", None)
+                if term is None:
+                    raise DomainError(f"integrand not real at {x}")
+                terms.append(_pair(term, x))
+            yield terms
+
+        return _refine(samples, 1, prec)[0]
 
 
 def integral_In_numeric(spec: IntegralSpec, prec: Precision = DEFAULT_PRECISION) -> QuadratureResult:

@@ -50,5 +50,5 @@ def test_the_package_namespace_matches_its_all():
 
 @pytest.mark.parametrize("name", ["tanh_sinh_integrate", "Surd", "surd_normalize"])
 def test_a_removed_name_is_not_in_the_package_namespace(name):
-    # the integrator was removed; Surd and surd_normalize live in ellipkint.quadfield
+    # each lives in its own module: ellipkint.quadrature, ellipkint.quadfield
     assert not hasattr(ellipkint, name)

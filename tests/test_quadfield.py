@@ -241,7 +241,7 @@ coefficient_tuples = st.lists(
 @example((3, -(10**35), 10**31 + 7, -2), qe(F(-7, 10), F(9, 4), 2))
 @example((1, 2, 3), qe(F(2, 9), F(1, 6), 3))
 @example((10**30, -1, 0, 5), qe(F(5, 3), F(2, 7), 7))
-def test_polyval_matches_horner(coefficients, z):
+def test_polyval_matches_a_power_sum(coefficients, z):
     # the reference is Σ c·zⁱ in QuadExt over running powers of z
     want, power = QuadExt(F(0)), QuadExt(F(1))
     for c in coefficients:

@@ -22,13 +22,42 @@ from ellipkint import (
 )
 from ellipkint import quadrature
 from ellipkint.precision import to_mpf
-from ellipkint.quadrature import MIN_STOP_LEVEL
+from ellipkint.quadrature import MIN_STOP_LEVEL, tanh_sinh_integrate
 from ellipkint.verify import DEFAULT_Z_GRID, INNER_T_GRID, INNER_Z_GRID
 
 PREC = Precision()
 
 
+def test_constant_integrand():
+    r = tanh_sinh_integrate(lambda x: mpf(1), PREC)
+    assert abs(r.value - 1) < 1e-12
+    assert r.error_estimate <= 1e-12
+    assert r.converged
+
+
+def test_arcsine_kernel():
+    r = tanh_sinh_integrate(lambda t: 1 / mpmath.sqrt((1 - t) * (1 + t)), PREC)
+    assert abs(r.value - mpmath.pi / 2) < 1e-12
+
+
+def test_endpoint_log_singularity():
+    r = tanh_sinh_integrate(lambda x: mpmath.log(1 / x), PREC)
+    assert abs(r.value - 1) < 1e-12
+
+
 def test_abscissae_never_touch_endpoints():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return mpf(1)
+
+    tanh_sinh_integrate(f, PREC)
+    assert seen
+    assert all(0 < x < 1 for x in seen)
+
+
+def test_level_nodes_lie_inside_and_carry_exact_squares():
     # every quadrature reads these nodes; each x² is the exact square of x
     with PREC.workdps():
         for level in range(7):
@@ -39,18 +68,15 @@ def test_abscissae_never_touch_endpoints():
                 assert xx == (x.man * x.man, 2 * x.exp)
 
 
-def _level_sum(f, levels):
-    """Σ f(x)·w over the nodes of levels 0..levels in plain mpf, over 2^(levels+1), and the node count.
+def test_nonfinite_integrand_rejected():
+    with pytest.raises(DomainError):
+        tanh_sinh_integrate(lambda x: mpmath.inf, PREC)
 
-    The tanh-sinh sum at the level a quadrature stopped on, formed
-    term by term in mpf at the working precision instead of on ints.
-    """
-    total, count = mpf(0), 0
-    for level in range(levels + 1):
-        for x, weight, _ in quadrature._level_nodes(level):
-            total += f(x) * weight
-            count += 1
-    return total / 2 ** (levels + 1), count
+
+def test_unreachable_tolerance_flagged():
+    tight = Precision(abs_tol=1e-60, dps=20)
+    r = tanh_sinh_integrate(lambda t: 1 / mpmath.sqrt((1 - t) * (1 + t)), tight)
+    assert not r.converged
 
 
 def test_spec_validation():
@@ -229,7 +255,7 @@ def test_node_cut_reads_the_working_precision():
 
 @pytest.mark.parametrize("dps,tol", [(40, 1e-12), (60, 1e-30)])
 def test_kernel_table_matches_generic_route(dps, tol):
-    """The kernel-table sum against a plain-mpf level sum of the integrand over the same levels."""
+    """The kernel-table sum against tanh_sinh_integrate over the integrand."""
     prec = Precision(abs_tol=tol, dps=dps)
     for n in (0, 8, 16):
         for z in (Fraction(1, 10), Fraction(1), Fraction(10)):
@@ -241,9 +267,11 @@ def test_kernel_table_matches_generic_route(dps, tol):
                 def integrand(k):
                     return ellip_k(k, prec) * k / (zf + k * k) ** exponent
 
-                reference, count = _level_sum(integrand, fast.levels_used)
-                assert abs(fast.value - reference) / abs(reference) <= mpf("1e-45")
-            assert fast.evaluations == count
+                reference = tanh_sinh_integrate(integrand, prec)
+                rel = abs(fast.value - reference.value) / abs(reference.value)
+                assert rel <= mpf("1e-45")
+            assert fast.levels_used == reference.levels_used
+            assert fast.evaluations == reference.evaluations
 
 
 @pytest.mark.parametrize("dps,tol", [(40, 1e-12), (60, 1e-30)])
@@ -338,7 +366,8 @@ def test_batch_of_no_specs_is_empty():
 
 @pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan], ids=["inf", "-inf", "nan"])
 def test_a_nonfinite_term_is_rejected(monkeypatch, bad):
-    # the kernel table checks K once, when it is built
+    # the kernel table checks K once, when it is built; tanh_sinh_integrate
+    # checks each term as it turns it into an integer pair
     def poisoned_ellip_k(k, prec):
         return bad if k < mpf("0.25") else ellip_k(k, prec)
 
@@ -347,6 +376,14 @@ def test_a_nonfinite_term_is_rejected(monkeypatch, bad):
     with pytest.raises(DomainError, match="not finite"):
         integral_In_numeric_many([IntegralSpec(0, 1), IntegralSpec(2, 3)], PREC)
     assert not quadrature._KERNEL_CACHE  # no level holding a bad K is kept
+    with pytest.raises(DomainError, match="not finite"):
+        tanh_sinh_integrate(lambda x: bad if x < mpf("0.25") else x, PREC)
+
+
+@pytest.mark.parametrize("f", [lambda x: mpmath.mpc(x, 1), lambda x: 1j * x])
+def test_complex_integrand_rejected(f):
+    with pytest.raises(DomainError, match="not real"):
+        tanh_sinh_integrate(f, PREC)
 
 
 @pytest.mark.parametrize("dps", [40, 60, 100])
@@ -467,32 +504,22 @@ def test_level_sums_are_the_exact_sum_rounded_once(monkeypatch):
     assert abs(results[1].value) < mpmath.ldexp(1, -1100)
 
 
-def test_inner_grid_matches_pointwise_and_unfactored_integrand(monkeypatch):
+def test_inner_grid_matches_pointwise_and_unfactored_integrand():
     z_grid = [Fraction(1, 10), Fraction(1), Fraction(67, 10)]
     t_grid = [Fraction(1, 20), Fraction(1, 2), Fraction(19, 20)]
-    real, runs = quadrature._refine, []
-
-    def recording(samples, members, prec):
-        runs.append(real(samples, members, prec))
-        return runs[-1]
-
-    monkeypatch.setattr(quadrature, "_refine", recording)
     rows = inner_integral_numeric_grid(z_grid, t_grid, PREC)
     assert [len(row) for row in rows] == [3, 3, 3]
-    results = iter(runs[0])  # one member per (z, t), rows over z of t
     with PREC.workdps():
         for z, row in zip(z_grid, rows):
             for t, got in zip(t_grid, row):
-                result = next(results)
                 assert got == inner_integral_numeric_grid([z], [t], PREC)[0][0]
                 zf, tf = mpf(z.numerator) / z.denominator, mpf(t.numerator) / t.denominator
 
                 def integrand(k):
                     return k / ((zf + k * k) ** mpf(1.5) * mpmath.sqrt(1 - (k * tf) ** 2))
 
-                reference, count = _level_sum(integrand, result.levels_used)
+                reference = tanh_sinh_integrate(integrand, PREC).value
                 assert abs(got - reference) <= mpf("1e-45")
-                assert result.evaluations == count
 
 
 @pytest.mark.parametrize("dps", [40, 60, 100])
@@ -624,16 +651,8 @@ FAR_FIELD_SPECS = [(12, 10), (16, 10), (8, 10**6), (20, 10**4), (0, 10**8), (40,
 
 def test_every_converged_result_stopped_at_level_three_or_later():
     results = integral_In_numeric_many(IDENTITY_GRID + FAR_FIELD_GRID, PREC)
-
-    # terms of 1 on a grid that doubles from level 1 on: every level sum is
-    # 1/2, so every d_L is 0 and only MIN_STOP_LEVEL holds the member back
-    def constant(level, live):
-        yield [(1, 0)] * max(1, 2 ** (level - 1))
-
-    with PREC.workdps():
-        flat = quadrature._refine(constant, 1, PREC)
-    assert (flat[0].value, flat[0].error_estimate, flat[0].levels_used) == (mpf(1) / 2, 0, MIN_STOP_LEVEL)
-    results += flat
+    results.append(tanh_sinh_integrate(lambda x: mpf(1), PREC))  # every d_L is 0
+    results.append(tanh_sinh_integrate(lambda x: x, PREC))
     assert MIN_STOP_LEVEL == 3
     assert all(r.converged and r.levels_used >= MIN_STOP_LEVEL for r in results)
 
