@@ -175,9 +175,6 @@ class QuadExt:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def sign(self) -> int:
         """Sign of the real value a + b*sqrt(d), computed exactly."""
         return _pair_sign(self.a, self.b, self.d)

@@ -380,7 +380,9 @@ def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECIS
         if not result.converged:
             iz, it = divmod(i, width)
             raise ToleranceNotReached(
-                f"inner integral at (z={shown(z_grid[iz])}, t={shown(t_grid[it])}) did not converge", result
+                f"inner integral at (z={shown(z_grid[iz])}, t={shown(t_grid[it])}) "
+                f"did not reach abs_tol={prec.abs_tol}",
+                result,
             )
     return [[r.value for r in results[iz * width : (iz + 1) * width]] for iz in range(len(zs))]
 
@@ -414,5 +416,5 @@ def I0_via_swap(z, prec: Precision = DEFAULT_PRECISION) -> mpf:
 
         result = _refine(samples, 1, prec)[0]
     if not result.converged:
-        raise ToleranceNotReached(f"I0_via_swap({shown(z)}) did not converge", result)
+        raise ToleranceNotReached(f"I0_via_swap({shown(z)}) did not reach abs_tol={prec.abs_tol}", result)
     return result.value

@@ -134,9 +134,6 @@ class ExactValue:
     alg_coeff: QuadExt
     alg_surd: Surd
 
-    def is_zero(self) -> bool:
-        return self.pi_coeff.is_zero() and self.alg_coeff.is_zero()
-
     def to_mpf(self, prec: Precision = DEFAULT_PRECISION) -> mpf:
         with prec.workdps():
             value = mpf(0)

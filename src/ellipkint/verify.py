@@ -19,7 +19,7 @@ from mpmath import mpf
 
 from .closedform import In_exact_real, closed_form
 from .precision import DEFAULT_PRECISION, Precision, check_tol, to_mpf
-from .quadfield import QuadExt, Surd
+from .quadfield import QuadExt
 from .quadrature import (
     I0_via_swap,
     IntegralSpec,
@@ -41,7 +41,7 @@ from .specialvalues import (
 @dataclass(frozen=True)
 class CheckReport:
     name: str
-    max_abs_error: float
+    max_error: float
     tolerance: float
     passed: bool
     cases: int
@@ -50,7 +50,7 @@ class CheckReport:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         out = (
-            f"[{status}] {self.name}: max_abs_error={self.max_abs_error:.3e} "
+            f"[{status}] {self.name}: max_error={self.max_error:.3e} "
             f"tol={self.tolerance:.1e} cases={self.cases}"
         )
         if self.notes:
@@ -261,35 +261,24 @@ def audit_published_tables(tol, prec):
     return specs, compare
 
 
-def _z1_decomposition(k: int):
-    """(a_k, b_k) read off eval_at_special(k, 1), or None if it is not a_k + b_k*pi.
-
-    sqrt(2)*I_k(1) splits into a rational and a rational multiple of pi only
-    if each surd is sqrt(2), or carries a zero coefficient, and each
-    coefficient is rational.
-    """
-    value = eval_at_special(k, CATALOG["1"])
-    sqrt2 = Surd(QuadExt(2))
-    for coeff, surd in ((value.pi_coeff, value.pi_surd), (value.alg_coeff, value.alg_surd)):
-        if not coeff.is_rational() or (surd != sqrt2 and not coeff.is_zero()):
-            return None
-    return value.alg_coeff.a, value.pi_coeff.a
-
-
 def check_relations(tol, prec):
     """Pairwise rational relations between sqrt(2)*I_n(1) values, n <= RELATIONS_MAX_INDEX.
 
-    Exactness: every (a_k, b_k) that in1_pair reads off the closed form must
-    be what eval_at_special's exact value at z = 1 decomposes into.  The
-    numeric side replays each relation with quadrature values of the integrals.
+    Exactness: every (a_k, b_k) that in1_pair reads off the closed form,
+    read as the exact value (a_k + b_k*pi)/sqrt(2), must equal
+    eval_at_special's at z = 1.  The numeric side replays each relation with
+    quadrature values of the integrals.
     """
     indices = range(RELATIONS_MAX_INDEX + 1)
     specs = [IntegralSpec(k, 1) for k in indices]
 
     def compare(values):
         pairs = [in1_pair(k) for k in indices]
-        # exact: each pair must be what the exact value at z = 1 decomposes into
-        exact = [_z1_decomposition(k) == pair for k, pair in enumerate(pairs)]
+        # exact: each pair, read as (a_k + b_k*pi)/sqrt(2), must be the exact value at z = 1
+        exact = [
+            make_exact_value(b, 2, a, 2) == eval_at_special(k, CATALOG["1"])
+            for k, (a, b) in enumerate(pairs)
+        ]
         errors = {}
         with prec.workdps():
             sqrt2 = mpmath.sqrt(2)

@@ -94,7 +94,7 @@ def test_criterion_4_identity_sweep(capsys, suite):
     with capsys.disabled():
         report(
             4,
-            f"sweep n<=8 x 5 z values, max err {result.max_abs_error:.1e}, suite {elapsed:.1f}s",
+            f"sweep n<=8 x 5 z values, max err {result.max_error:.1e}, suite {elapsed:.1f}s",
             result.passed
             and result.cases == 45
             and result.tolerance == 1e-10
@@ -108,7 +108,7 @@ def test_criterion_5_inner_integral(capsys, suite):
     with capsys.disabled():
         report(
             5,
-            f"inner-integral identity on 10x10 grid, max err {result.max_abs_error:.1e}",
+            f"inner-integral identity on 10x10 grid, max err {result.max_error:.1e}",
             result.passed and result.cases == 100 and result.tolerance == 1e-10,
         )
 
@@ -118,7 +118,7 @@ def test_criterion_6_order_swap(capsys, suite):
     with capsys.disabled():
         report(
             6,
-            f"order-swap on 5-point grid, max err {result.max_abs_error:.1e}",
+            f"order-swap on 5-point grid, max err {result.max_error:.1e}",
             result.passed and result.cases == 5 and result.tolerance == 1e-10,
         )
 
@@ -130,7 +130,7 @@ def test_criterion_7_derivative_ladder(capsys, suite):
         for n in range(5)
         for z in (F(1, 3), F(1), F(3))
     }
-    worst = max(r.max_abs_error for r in reports)
+    worst = max(r.max_error for r in reports)
     with capsys.disabled():
         report(
             7,
@@ -145,7 +145,7 @@ def test_criterion_8_relations(capsys, suite):
     with capsys.disabled():
         report(
             8,
-            f"(P,Q) relations for n,m<=10, numeric residual {result.max_abs_error:.1e}",
+            f"(P,Q) relations for n,m<=10, numeric residual {result.max_error:.1e}",
             result.passed and result.cases == 121 and result.tolerance == 1e-10,
         )
 

@@ -195,6 +195,20 @@ def test_swap_route_published_values(z, expected):
         assert abs(I0_via_swap(z, PREC) - expected()) < 1e-12
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the node table's cut (1e-38 at 50 working digits) drops a tail of the "
+    "1/sqrt(1-t^2) endpoint singularity of order sqrt(cut), about 1e-19, that no level "
+    "sum sees; a bound for the order swap must add that tail term (ROADMAP item 12)",
+)
+def test_swap_route_within_a_tight_abs_tol():
+    prec, reference = Precision(abs_tol=1e-20), Precision(dps=80)
+    for z in (Fraction(1, 10), Fraction(1, 3), Fraction(1)):
+        value = I0_via_swap(z, prec)
+        with reference.workdps():
+            assert abs(value - In_exact_real(0, z, reference)) <= prec.abs_tol, z
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         inner_integral_closed(-1, 0.5)
@@ -343,6 +357,26 @@ def test_batch_names_the_member_that_did_not_converge(monkeypatch):
         integral_In_numeric_many(specs, prec)
     assert not caught.value.result.converged
     assert caught.value.result.levels_used == 5
+
+
+@pytest.mark.parametrize(
+    "entry, member",
+    [
+        (lambda prec: integral_In_numeric_many([IntegralSpec(0, Fraction(1, 10))], prec), r"I_0\(1/10\)"),
+        (
+            lambda prec: inner_integral_numeric_grid([Fraction(1, 10)], [Fraction(1, 20)], prec),
+            r"inner integral at \(z=1/10, t=1/20\)",
+        ),
+        (lambda prec: I0_via_swap(Fraction(1, 10), prec), r"I0_via_swap\(1/10\)"),
+    ],
+    ids=["batch", "inner grid", "order swap"],
+)
+def test_every_entry_point_names_the_tolerance_it_missed(monkeypatch, entry, member):
+    # three levels cannot reach 1e-30: each failure names its member and abs_tol
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", 3)
+    with pytest.raises(ToleranceNotReached, match=member + " did not reach abs_tol=1e-30$") as caught:
+        entry(Precision(abs_tol=1e-30))
+    assert not caught.value.result.converged
 
 
 def test_tolerance_below_one_ulp_stops_at_once():

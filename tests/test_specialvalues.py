@@ -56,15 +56,11 @@ def test_eval_z1_table():
 
 
 def test_in1_pair_is_the_exact_value_at_1_decomposed():
-    # sqrt(2)*I_k(1) = a_k + b_k*pi: the pair read off the closed form must be
-    # the one eval_at_special's exact value splits into
-    sqrt2 = Surd(qe(2))
+    # sqrt(2)*I_k(1) = a_k + b_k*pi: the pair read off the closed form, read as
+    # (a_k + b_k*pi)/sqrt(2), must be eval_at_special's exact value
     for k in range(101):
-        v = eval_at_special(k, CATALOG["1"])
-        assert v.pi_surd == sqrt2 and v.pi_coeff.is_rational()
-        assert v.alg_coeff.is_rational()
-        assert v.alg_surd == sqrt2 or v.alg_coeff.is_zero()
-        assert in1_pair(k) == (v.alg_coeff.a, v.pi_coeff.a)
+        a, b = in1_pair(k)
+        assert make_exact_value(b, 2, a, 2) == eval_at_special(k, CATALOG["1"])
 
 
 def test_eval_cot_points():
@@ -296,4 +292,4 @@ def test_make_exact_value_takes_rationals():
 
 def test_zero_value():
     v = make_exact_value(qe(0), qe(2), qe(0), qe(2))
-    assert v.is_zero()
+    assert v == make_exact_value(0, 1, 0, 1)

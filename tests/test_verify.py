@@ -68,26 +68,29 @@ def test_relations_check(suite):
     assert report.cases == (verify.RELATIONS_MAX_INDEX + 1) ** 2  # b_m is nonzero for every m
 
 
-def test_relations_miss_reads_inf(monkeypatch):
-    # a_2 one off: every relation still solves from the perturbed pairs, so
-    # only the comparison with the exact value at z = 1 can see it
+@pytest.mark.parametrize("part", [0, 1], ids=["a_2", "b_2"])
+def test_relations_miss_reads_inf(monkeypatch, part):
+    # a_2 or b_2 one off: the pair no longer equals the exact value at z = 1,
+    # so every relation through k = 2 reads inf, whatever its numeric residual
     real = verify.in1_pair
 
     def perturbed(k):
-        a, b = real(k)
-        return (a + 1, b) if k == 2 else (a, b)
+        pair = list(real(k))
+        if k == 2:
+            pair[part] += 1
+        return tuple(pair)
 
     monkeypatch.setattr(verify, "in1_pair", perturbed)
     suite = run_suite()
     (report,) = reports_named(suite, "pairwise rational relations")
     assert not report.passed and not suite.all_passed
-    assert report.max_abs_error == math.inf
+    assert report.max_error == math.inf
     assert "worst at n=0, m=2" in report.notes  # the first pair with k = 2
 
 
 def test_reports_are_self_consistent(suite):
     for report in suite.reports:
-        assert report.passed == (report.max_abs_error <= report.tolerance)
+        assert report.passed == (report.max_error <= report.tolerance)
 
 
 def test_structure_failure_reports_inf(monkeypatch):
@@ -100,7 +103,7 @@ def test_structure_failure_reports_inf(monkeypatch):
     monkeypatch.setattr(verify, "closed_form", wrong_leading_coefficient)
     report = check_structure()
     assert not report.passed
-    assert report.max_abs_error == math.inf
+    assert report.max_error == math.inf
     assert "worst at n=0" in report.notes
 
 
@@ -218,11 +221,11 @@ def test_derivative_ladder_names_z_as_given(suite):
 
 
 # sha256 of `ellipkint verify --format json` (the default suite, indent=2),
-# as computed once quadratures stopped on d_L²/d_(L−1) from level 3 on and
-# the suite gained the exact-to-float check
-DEFAULT_SUITE_SHA256 = "3a1db934339e20e3d60ad48d1c375ef54f56996e477898f071c6eb46ee504e3e"
+# as computed once quadratures stopped on d_L²/d_(L−1) from level 3 on, the
+# suite gained the exact-to-float check and the reports' field became max_error
+DEFAULT_SUITE_SHA256 = "ecb67a901199599f0a25e9835646c1e5b013d692815b500deafb507ed0f4aac8"
 # sha256 of the text report of the same suite, as `ellipkint verify` prints it
-DEFAULT_SUITE_TEXT_SHA256 = "c53a4aa134ccdd29fafb5e931328f0e8a0f2dbf6136badc4f8dc4758c64b3f7c"
+DEFAULT_SUITE_TEXT_SHA256 = "07f65738a8adccec62f4941e9a6e7546d7f07d7f5dd312d32a5ef7d9d614b378"
 
 
 def test_default_suite_output_pinned(suite):
