@@ -12,7 +12,27 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import finf, fnan, fninf, from_man_exp, round_nearest
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    fone,
+    from_int,
+    from_man_exp,
+    mpf_add,
+    mpf_cosh_sinh,
+    mpf_div,
+    mpf_exp,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pi,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+)
 
 from .elliptic import ellip_k
 from .precision import (
@@ -85,24 +105,30 @@ def _level_nodes(level: int) -> list[tuple[mpf, mpf, tuple[int, int]]]:
     cached = _NODE_CACHE.get(key)
     if cached is not None:
         return cached
-    h = mpf(1) / 2**level
+    # the mpf formulas t = k·h, u = (pi/2)·sinh(t), delta = 2/(exp(2u) + 1) = 1 − tanh(u)
+    # and weight = (pi/2)·cosh(t)/cosh(u)², each step rounded to nearest at the
+    # working precision as mpf arithmetic rounds it, run on raw libmp tuples
+    wp, rnd, make = mpmath.mp.prec, round_nearest, mpmath.mp.make_mpf
+    h = mpf_shift(fone, -level)
     # nodes with smaller endpoint offset than this cannot be represented
     # accurately enough to evaluate a singular integrand on; the truncated
     # tail is O(sqrt(cut)) even for 1/sqrt endpoint singularities.
-    cut = mpf(10) ** (-(3 * mpmath.mp.dps) // 4)
-    pi_half = mpmath.pi / 2
+    cut = mpf_pow_int(from_int(10), -(3 * mpmath.mp.dps) // 4, wp, rnd)
+    pi_half = mpf_shift(mpf_pi(wp, rnd), -1)
     nodes = []
     k = 1 if level > 0 else 0
     step = 2 if level > 0 else 1
     while True:
-        t = k * h
-        u = pi_half * mpmath.sinh(t)
-        delta = 2 / (mpmath.exp(2 * u) + 1)  # = 1 - tanh(u), computed stably
-        if delta < cut:
+        cosh_t, sinh_t = mpf_cosh_sinh(mpf_mul_int(h, k, wp, rnd), wp, rnd)
+        u = mpf_mul(pi_half, sinh_t, wp, rnd)
+        delta = mpf_rdiv_int(2, mpf_add(mpf_exp(mpf_shift(u, 1), wp, rnd), fone, wp, rnd), wp, rnd)
+        if mpf_lt(delta, cut):
             break
-        weight = pi_half * mpmath.cosh(t) / mpmath.cosh(u) ** 2
-        for x in (1 - delta / 2, delta / 2) if delta != 1 else (delta / 2,):  # the midpoint once
-            nodes.append((x, weight, (x.man * x.man, 2 * x.exp)))
+        cosh_u = mpf_cosh_sinh(u, wp, rnd)[0]
+        weight = make(mpf_div(mpf_mul(pi_half, cosh_t, wp, rnd), mpf_pow_int(cosh_u, 2, wp, rnd), wp, rnd))
+        half = mpf_shift(delta, -1)
+        for x in (mpf_sub(fone, half, wp, rnd), half) if delta != fone else (half,):  # the midpoint once
+            nodes.append((make(x), weight, (x[1] * x[1], 2 * x[2])))
         k += step
     _NODE_CACHE[key] = nodes
     return nodes
@@ -120,9 +146,11 @@ def _level_kernel(level: int, prec: Precision) -> list[tuple[tuple[int, int], tu
     key = (mpmath.mp.prec, level)
     cached = _KERNEL_CACHE.get(key)
     if cached is None:
-        cached = []
+        wp, rnd, cached = mpmath.mp.prec, round_nearest, []
         for x, weight, xx in _level_nodes(level):
-            cached.append((xx, _pair((ellip_k(x, prec) * x * weight)._mpf_, x)))
+            # (K·x)·w, rounded twice as mpf products round it
+            kxw = mpf_mul(mpf_mul(ellip_k(x, prec)._mpf_, x._mpf_, wp, rnd), weight._mpf_, wp, rnd)
+            cached.append((xx, _pair(kxw, x)))
         _KERNEL_CACHE[key] = cached
     return cached
 
@@ -326,9 +354,21 @@ def inner_integral_closed(z, t) -> mpf:
     This is 1/(√z·(1+z·t²)) − √(1−t²)/(√(1+z)·(1+z·t²)) without its
     subtraction, which cancels at small t and large z.
     """
-    z, t = check_z(z), check_unit_interval(t, "t")
-    root_z, root_1z = mpmath.sqrt(z), mpmath.sqrt(1 + z)
-    return 1 / (root_z * root_1z * (root_1z + root_z * mpmath.sqrt((1 - t) * (1 + t))))
+    return _inner_closed_rows([z], [t])[0][0]
+
+
+def _inner_closed_rows(z_grid, t_grid) -> list[list[mpf]]:
+    """inner_integral_closed at every (z, t), in rows over z_grid of values over t_grid.
+
+    √z and √(1+z) are taken once per z and √((1−t)(1+t)) once per t.
+    """
+    zs = [check_z(z) for z in z_grid]
+    roots_t = [mpmath.sqrt((1 - t) * (1 + t)) for t in (check_unit_interval(t, "t") for t in t_grid)]
+    rows = []
+    for z in zs:
+        root_z, root_1z = mpmath.sqrt(z), mpmath.sqrt(1 + z)
+        rows.append([1 / (root_z * root_1z * (root_1z + root_z * root_t)) for root_t in roots_t])
+    return rows
 
 
 def inner_integral_numeric_grid(z_grid, t_grid, prec: Precision = DEFAULT_PRECISION) -> list[list[mpf]]:

@@ -23,7 +23,7 @@ from .quadfield import QuadExt
 from .quadrature import (
     I0_via_swap,
     IntegralSpec,
-    inner_integral_closed,
+    _inner_closed_rows,
     inner_integral_numeric_grid,
     integral_In_numeric_many,
 )
@@ -169,9 +169,10 @@ def check_inner_closed_form(
     errors = {}
     with prec.workdps():
         rows = inner_integral_numeric_grid(INNER_Z_GRID, INNER_T_GRID, prec)
-        for z, row in zip(INNER_Z_GRID, rows):
-            for t, numeric in zip(INNER_T_GRID, row):
-                errors[f"z={z}, t={t}"] = abs(numeric - inner_integral_closed(z, t))
+        closed = _inner_closed_rows(INNER_Z_GRID, INNER_T_GRID)
+        for z, row, closed_row in zip(INNER_Z_GRID, rows, closed):
+            for t, numeric, value in zip(INNER_T_GRID, row, closed_row):
+                errors[f"z={z}, t={t}"] = abs(numeric - value)
     return _report("inner-integral closed form", errors, tol)
 
 

@@ -3,6 +3,7 @@ import pytest
 from mpmath import mpf
 
 from ellipkint import DomainError, Precision, ellip_k
+from ellipkint import quadrature
 
 PREC = Precision()
 
@@ -30,6 +31,8 @@ def test_k_special_values():
 def test_k_at_zero():
     with mpmath.workdps(45):
         assert abs(ellip_k(0) - mpmath.pi / 2) < mpf("1e-38")
+    # k² far below one ulp: K is pi/2, with no integer as wide as k's exponent
+    assert ellip_k(mpf("1e-1000000000")) == ellip_k(0)
 
 
 def test_k_domain():
@@ -74,3 +77,23 @@ def test_k_log_asymptote_near_one():
     k = 1 - mpf("1e-8")
     asymptote = mpmath.log(4 / mpmath.sqrt((1 - k) * (1 + k)))
     assert abs(ellip_k(k) - asymptote) / asymptote < 5e-4  # 3 significant digits
+
+
+@pytest.mark.parametrize("dps", [15, 40, 60, 100])
+def test_ellip_k_within_one_ulp_of_a_reference_at_twice_the_precision(dps):
+    """K at every node of levels 0-6, and at the edges of [0, 1), is right to 2^-wp relative.
+
+    The reference is mpmath.ellipk at 2·wp + 40 bits, wp the working
+    precision, of k² for k as the working precision holds it.
+    """
+    prec = Precision(dps=dps)
+    with prec.workdps():
+        wp = mpmath.mp.prec
+        ks = [x for level in range(7) for x, _, _ in quadrature._level_nodes(level)]
+        ks += [mpf(0), mpmath.ldexp(1, -200), mpf(1) / 2, 1 - mpmath.ldexp(1, -(wp // 2)), 1 - mpmath.ldexp(1, -wp)]
+        assert ks[-1] < 1
+        values = [ellip_k(k, prec) for k in ks]
+    with mpmath.workprec(2 * wp + 40):
+        for k, value in zip(ks, values):
+            reference = mpmath.ellipk(k * k)
+            assert abs(value - reference) <= mpmath.ldexp(value, -wp), k

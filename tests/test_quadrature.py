@@ -68,6 +68,39 @@ def test_level_nodes_lie_inside_and_carry_exact_squares():
                 assert xx == (x.man * x.man, 2 * x.exp)
 
 
+def _reference_level_nodes(level):
+    """The node table by the mpf-object formulas, at the current precision."""
+    h = mpf(1) / 2**level
+    cut = mpf(10) ** (-(3 * mpmath.mp.dps) // 4)
+    pi_half = mpmath.pi / 2
+    nodes = []
+    k = 1 if level > 0 else 0
+    step = 2 if level > 0 else 1
+    while True:
+        t = k * h
+        u = pi_half * mpmath.sinh(t)
+        delta = 2 / (mpmath.exp(2 * u) + 1)
+        if delta < cut:
+            return nodes
+        weight = pi_half * mpmath.cosh(t) / mpmath.cosh(u) ** 2
+        for x in (1 - delta / 2, delta / 2) if delta != 1 else (delta / 2,):
+            nodes.append((x._mpf_, weight._mpf_, (x.man * x.man, 2 * x.exp)))
+        k += step
+
+
+def test_level_nodes_equal_the_mpf_formulas_bit_for_bit(monkeypatch):
+    # the table runs these formulas on raw libmp tuples, rounding each step as mpf does
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    count = 0
+    for dps in range(15, 121):
+        with mpmath.workdps(dps):
+            for level in range(5):
+                nodes = [(x._mpf_, weight._mpf_, xx) for x, weight, xx in quadrature._level_nodes(level)]
+                assert nodes == _reference_level_nodes(level), (dps, level)
+                count += len(nodes)
+    assert count == 14232
+
+
 def test_nonfinite_integrand_rejected():
     with pytest.raises(DomainError):
         tanh_sinh_integrate(lambda x: mpmath.inf, PREC)
@@ -726,9 +759,11 @@ def test_far_field_specs_right_relative_to_their_value(n, z):
 
 # one z in each quarter of [1/10, 10] on a log scale, as the benchmark's sweep draws them
 PINNED_Z = (Fraction(9, 65), Fraction(37, 53), Fraction(45, 26), Fraction(453, 92))
-# sha256 of the batch's results below, unmoved since before the quadrature formed
-# its terms a level at a time per member; any one-ulp change moves it
-BATCH_SHA256 = "0f01701d40f4a920a785bb1112d84d784281001870ddcecef5570bb58d21c022"
+# sha256 of the batch's results below, taken once K was computed by the integer AGM
+# within 2^-wp relative: 17 of the 102 values moved by one ulp, with the same levels
+# and evaluations, and the mpf AGM put back gives the earlier 0f01701d…; any one-ulp
+# change moves it
+BATCH_SHA256 = "d79e110283acff87f8f1e87e711a9215ef40a69ce1549c9b84ce691a80e435ea"
 # sha256 of the inner grid's and the swap's values, taken once the grid's t-part and
 # the swap's integrand were formed on ints, with every verify report passing
 GRID_AND_SWAP_SHA256 = "465e12030a72fe866bd3d233d57d78c5c84289ec46a7237358c1d8ff9b101b0e"

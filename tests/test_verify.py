@@ -155,6 +155,13 @@ def _route_off(name):
     return plant
 
 
+def _closed_rows_off(monkeypatch):
+    # the check reads the closed form a grid at a time
+    real = verify._inner_closed_rows
+    off = mpmath.mpf("1e-6")
+    monkeypatch.setattr(verify, "_inner_closed_rows", lambda *a: [[v + off for v in row] for row in real(*a)])
+
+
 def _printed_i0_1_off(monkeypatch):
     real = verify._published_tables
 
@@ -195,7 +202,7 @@ PLANTED_FAULTS = {
     ),
     "I_0(1/3+h)": (_quadrature_off(0, _ladder_shift), ["derivative ladder n=0 -> 1 at z=1/3"]),
     "I0_via_swap": (_route_off("I0_via_swap"), ["order-swap identity for I_0"]),
-    "inner_integral_closed": (_route_off("inner_integral_closed"), ["inner-integral closed form"]),
+    "inner_integral_closed": (_closed_rows_off, ["inner-integral closed form"]),
     "printed-I_0(1)": (_printed_i0_1_off, ["table audit I_0(1)"]),
 }
 
