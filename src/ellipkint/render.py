@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .precision import DomainError
 from .quadfield import QuadExt, Surd, _over_common_denominator, _pair_sign
-from .specialvalues import ExactValue
+from .specialvalues import ExactValue, make_exact_value
 
 FORMATS = ("text", "latex", "json")
 
@@ -107,20 +107,23 @@ def _quadext_from_json(obj: dict) -> QuadExt:
     return QuadExt(_fraction_from_json(obj["a"]), _fraction_from_json(obj["b"]), obj["d"])
 
 
-def _surd_from_json(obj: dict) -> Surd:
+def _radicand_from_json(obj: dict) -> QuadExt:
     if _fraction_from_json(obj["scale"]) != 1:
         raise DomainError(f"an exact value's surds have unit scale, got {obj['scale']}")
-    return Surd(_quadext_from_json(obj["radicand"]))
+    return _quadext_from_json(obj["radicand"])
 
 
 def exact_value_from_json(obj: dict) -> ExactValue:
-    """The exact value render(v, "json") wrote; a malformed document is a DomainError."""
+    """The exact value render(v, "json") wrote, normalized as make_exact_value normalizes it.
+
+    A malformed document is a DomainError.
+    """
     try:
-        return ExactValue(
-            pi_coeff=_quadext_from_json(obj["pi"]["coeff"]),
-            pi_surd=_surd_from_json(obj["pi"]["surd"]),
-            alg_coeff=_quadext_from_json(obj["alg"]["coeff"]),
-            alg_surd=_surd_from_json(obj["alg"]["surd"]),
+        return make_exact_value(
+            _quadext_from_json(obj["pi"]["coeff"]),
+            _radicand_from_json(obj["pi"]["surd"]),
+            _quadext_from_json(obj["alg"]["coeff"]),
+            _radicand_from_json(obj["alg"]["surd"]),
         )
     except DomainError:
         raise

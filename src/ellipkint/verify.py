@@ -92,40 +92,36 @@ EXACT_N_GRID = (0, 1, 5, 20, 40)
 # check_structure's order covers every closed form the other checks compare
 STRUCTURE_N_MAX = 12
 
-# A check that compares I_n(z) quadratures comes in two parts: the specs it
-# needs and a comparison that takes their values in the same order.
-# run_suite, their one caller, makes one batch of every check's specs and
-# hands each comparison its share, and the batch runs each distinct integral
-# once.  perfbench traces these checks by their module names.
+# A check that compares I_n(z) quadratures takes `values`, a mapping from
+# each spec it compares to that integral's value: the specs below, the
+# derivative ladder's (_ladder_specs) and the table audit's one expected
+# mismatch, I_2(3).  run_suite runs them all in one integral_In_numeric_many
+# call.  perfbench traces these checks by their module names.
+IDENTITY_SPECS = tuple(
+    IntegralSpec(n, z) for n in range(IDENTITY_N_MAX + 1) for z in DEFAULT_Z_GRID
+)
+SWAP_SPECS = tuple(IntegralSpec(0, z) for z in DEFAULT_Z_GRID)
+AUDIT_SPEC = IntegralSpec(2, 3)
+RELATIONS_SPECS = tuple(IntegralSpec(k, 1) for k in range(RELATIONS_MAX_INDEX + 1))
 
 
-def check_identity(tol, prec):
-    """|quadrature(LHS) - closed form(RHS)| for n <= IDENTITY_N_MAX over DEFAULT_Z_GRID."""
-    specs = [IntegralSpec(n, z) for n in range(IDENTITY_N_MAX + 1) for z in DEFAULT_Z_GRID]
-
-    def compare(values):
-        errors = {}
-        with prec.workdps():
-            for spec, value in zip(specs, values):
-                exact = In_exact_real(spec.n, spec.z, prec)
-                errors[f"n={spec.n}, z={spec.z}"] = abs(value - exact)
-        name = f"integral identity, n<={IDENTITY_N_MAX}, {len(DEFAULT_Z_GRID)} z values"
-        return _report(name, errors, tol)
-
-    return specs, compare
+def check_identity(values, tol, prec) -> CheckReport:
+    """|quadrature(LHS) - closed form(RHS)| over IDENTITY_SPECS."""
+    errors = {}
+    with prec.workdps():
+        for spec in IDENTITY_SPECS:
+            exact = In_exact_real(spec.n, spec.z, prec)
+            errors[f"n={spec.n}, z={spec.z}"] = abs(values[spec] - exact)
+    name = f"integral identity, n<={IDENTITY_N_MAX}, {len(DEFAULT_Z_GRID)} z values"
+    return _report(name, errors, tol)
 
 
-def check_derivative_step(n, z, prec):
-    """Induction step of the derivative ladder by finite differences.
-
-    I_{n+1}(z) must equal -2/(2n+3) * dI_n/dz; the derivative is estimated by
-    central differences at steps DEFAULT_STEP and DEFAULT_STEP/2 with one
-    Richardson round.
-    """
+def _ladder_specs(n, z, prec) -> list[IntegralSpec]:
+    """I_n(z ± h), I_n(z ± h/2) and I_{n+1}(z), h = DEFAULT_STEP, in mpf at prec."""
     with prec.workdps():
         x, h = to_mpf(z), to_mpf(DEFAULT_STEP)
         half = h / 2
-        specs = [
+        return [
             IntegralSpec(n, x + h),
             IntegralSpec(n, x - h),
             IntegralSpec(n, x + half),
@@ -133,32 +129,33 @@ def check_derivative_step(n, z, prec):
             IntegralSpec(n + 1, x),
         ]
 
-    def compare(values):
-        with prec.workdps():
-            up, down, up_half, down_half, target = values
-            d_coarse = (up - down) / (2 * h)
-            d_fine = (up_half - down_half) / (2 * half)
-            derivative = (4 * d_fine - d_coarse) / 3
-            candidate = -2 * derivative / (2 * n + 3)
-            rel_err = abs(candidate - target) / abs(target)
-        name = f"derivative ladder n={n} -> {n + 1} at z={z}"
-        return _report(name, {f"n={n}, z={z}": rel_err}, LADDER_REL_TOL)
 
-    return specs, compare
+def check_derivative_step(values, n, z, prec) -> CheckReport:
+    """Induction step of the derivative ladder by finite differences.
+
+    I_{n+1}(z) must equal -2/(2n+3) * dI_n/dz; the derivative is estimated by
+    central differences at steps DEFAULT_STEP and DEFAULT_STEP/2 with one
+    Richardson round.
+    """
+    up, down, up_half, down_half, target = (values[spec] for spec in _ladder_specs(n, z, prec))
+    with prec.workdps():
+        h = to_mpf(DEFAULT_STEP)
+        d_coarse = (up - down) / (2 * h)
+        d_fine = (up_half - down_half) / h  # the central difference at step h/2
+        derivative = (4 * d_fine - d_coarse) / 3
+        candidate = -2 * derivative / (2 * n + 3)
+        rel_err = abs(candidate - target) / abs(target)
+    name = f"derivative ladder n={n} -> {n + 1} at z={z}"
+    return _report(name, {f"n={n}, z={z}": rel_err}, LADDER_REL_TOL)
 
 
-def check_order_swap(tol, prec):
-    """Order-of-integration swap: iterated route vs direct quadrature over DEFAULT_Z_GRID."""
-    specs = [IntegralSpec(0, z) for z in DEFAULT_Z_GRID]
-
-    def compare(values):
-        errors = {}
-        with prec.workdps():
-            for spec, value in zip(specs, values):
-                errors[f"z={spec.z}"] = abs(I0_via_swap(spec.z, prec) - value)
-        return _report("order-swap identity for I_0", errors, tol)
-
-    return specs, compare
+def check_order_swap(values, tol, prec) -> CheckReport:
+    """Order-of-integration swap: iterated route vs direct quadrature over SWAP_SPECS."""
+    errors = {}
+    with prec.workdps():
+        for spec in SWAP_SPECS:
+            errors[f"z={spec.z}"] = abs(I0_via_swap(spec.z, prec) - values[spec])
+    return _report("order-swap identity for I_0", errors, tol)
 
 
 def check_inner_closed_form(
@@ -218,83 +215,72 @@ def _published_tables() -> list[tuple[str, int, str, ExactValue, bool]]:
     ]
 
 
-def audit_published_tables(tol, prec):
+def audit_published_tables(values, tol, prec) -> list[CheckReport]:
     """Compare the exact engine against every published identity.
 
     All entries must match exactly except the I_2(3) one, whose printed surd
     disagrees with both independent routes; that entry passes when the
-    mismatch is observed and the quadrature sides with the computed value.
+    mismatch is observed and the quadrature (AUDIT_SPEC) sides with the
+    computed value.
     """
-    entries = _published_tables()
-    specs = [IntegralSpec(n, CATALOG[p].z.a) for _, n, p, _, match in entries if not match]
-
-    def compare(values):
-        numerics = iter(values)
-        reports = []
-        for label, n, point_label, printed, expect_match in entries:
-            computed = eval_at_special(n, CATALOG[point_label])
-            matches = computed == printed
-            if expect_match:
-                errors = {label: 0.0 if matches else math.inf}
-                notes = "exact rational/surd comparison"
-                reports.append(_report(f"table audit {label}", errors, 0.0, notes))
-                continue
-            # expected mismatch: report both forms and let the quadrature decide
-            numeric = next(numerics)
-            err_computed = abs(numeric - computed.to_mpf(prec))
-            err_printed = abs(numeric - printed.to_mpf(prec))
-            # the printed-form rejection threshold is deliberately independent of
-            # tol: the gap between the printed surd and the true value is a fixed
-            # mathematical quantity, not something a loose run should blur away
-            ok = (
-                (not matches)
-                and err_computed <= tol
-                and err_printed > max(mpf("1e-6"), 100 * err_computed)
-            )
-            notes = (
-                f"printed: {render(printed)} | computed: {render(computed)} | "
-                f"quadrature deviates from printed by {float(err_printed):.3e}"
-            )
-            name = f"table audit {label} (expected MISMATCH)"
-            reports.append(CheckReport(name, float(err_computed), tol, ok, 1, notes))
-        return reports
-
-    return specs, compare
+    reports = []
+    for label, n, point_label, printed, expect_match in _published_tables():
+        computed = eval_at_special(n, CATALOG[point_label])
+        matches = computed == printed
+        if expect_match:
+            errors = {label: 0.0 if matches else math.inf}
+            notes = "exact rational/surd comparison"
+            reports.append(_report(f"table audit {label}", errors, 0.0, notes))
+            continue
+        # expected mismatch: report both forms and let the quadrature decide
+        numeric = values[IntegralSpec(n, CATALOG[point_label].z.a)]
+        err_computed = abs(numeric - computed.to_mpf(prec))
+        err_printed = abs(numeric - printed.to_mpf(prec))
+        # the printed-form rejection threshold is deliberately independent of
+        # tol: the gap between the printed surd and the true value is a fixed
+        # mathematical quantity, not something a loose run should blur away
+        ok = (
+            (not matches)
+            and err_computed <= tol
+            and err_printed > max(mpf("1e-6"), 100 * err_computed)
+        )
+        notes = (
+            f"printed: {render(printed)} | computed: {render(computed)} | "
+            f"quadrature deviates from printed by {float(err_printed):.3e}"
+        )
+        name = f"table audit {label} (expected MISMATCH)"
+        reports.append(CheckReport(name, float(err_computed), tol, ok, 1, notes))
+    return reports
 
 
-def check_relations(tol, prec):
+def check_relations(values, tol, prec) -> CheckReport:
     """Pairwise rational relations between sqrt(2)*I_n(1) values, n <= RELATIONS_MAX_INDEX.
 
     Exactness: every (a_k, b_k) that in1_pair reads off the closed form,
     read as the exact value (a_k + b_k*pi)/sqrt(2), must equal
     eval_at_special's at z = 1.  The numeric side replays each relation with
-    quadrature values of the integrals.
+    the values of RELATIONS_SPECS.
     """
     indices = range(RELATIONS_MAX_INDEX + 1)
-    specs = [IntegralSpec(k, 1) for k in indices]
-
-    def compare(values):
-        pairs = [in1_pair(k) for k in indices]
-        # exact: each pair, read as (a_k + b_k*pi)/sqrt(2), must be the exact value at z = 1
-        exact = [
-            make_exact_value(b, 2, a, 2) == eval_at_special(k, CATALOG["1"])
-            for k, (a, b) in enumerate(pairs)
-        ]
-        errors = {}
-        with prec.workdps():
-            sqrt2 = mpmath.sqrt(2)
-            numeric = [sqrt2 * value for value in values]
-            for n in indices:
-                for m in indices:
-                    if pairs[m][1] == 0:
-                        continue
-                    P, Q = _relation(pairs[n], pairs[m])
-                    residual = abs(numeric[n] + to_mpf(P) * numeric[m] + to_mpf(Q))
-                    errors[f"n={n}, m={m}"] = residual if exact[n] and exact[m] else math.inf
-        notes = "exact rational check per pair; a miss reads as inf"
-        return _report("pairwise rational relations at z=1", errors, tol, notes)
-
-    return specs, compare
+    pairs = [in1_pair(k) for k in indices]
+    # exact: each pair, read as (a_k + b_k*pi)/sqrt(2), must be the exact value at z = 1
+    exact = [
+        make_exact_value(b, 2, a, 2) == eval_at_special(k, CATALOG["1"])
+        for k, (a, b) in enumerate(pairs)
+    ]
+    errors = {}
+    with prec.workdps():
+        sqrt2 = mpmath.sqrt(2)
+        numeric = [sqrt2 * values[spec] for spec in RELATIONS_SPECS]
+        for n in indices:
+            for m in indices:
+                if pairs[m][1] == 0:
+                    continue
+                P, Q = _relation(pairs[n], pairs[m])
+                residual = abs(numeric[n] + to_mpf(P) * numeric[m] + to_mpf(Q))
+                errors[f"n={n}, m={m}"] = residual if exact[n] and exact[m] else math.inf
+    notes = "exact rational check per pair; a miss reads as inf"
+    return _report("pairwise rational relations at z=1", errors, tol, notes)
 
 
 def check_structure() -> CheckReport:
@@ -343,36 +329,33 @@ def run_suite(tol: float = 1e-10, prec: Precision = DEFAULT_PRECISION) -> SuiteR
 
     tol, checked before any work, is the tolerance of every check that
     compares floating values but the ladder (LADDER_REL_TOL) and the
-    exact-to-float check (1e-35).  The checks
-    that compare I_n(z) quadratures share one integral_In_numeric_many call
-    over all their specs, which runs each distinct integral once, and each
-    check takes its share of the values in order.  Nothing is kept between
-    runs.
+    exact-to-float check (1e-35).  The checks that compare I_n(z)
+    quadratures share one integral_In_numeric_many call over all their
+    specs, which runs each distinct integral once, and each check reads its
+    values from the batch.  Nothing is kept between runs.
     """
     check_tol(tol)
-    ladder = [
-        check_derivative_step(n, z, prec) for n in range(LADDER_N_MAX + 1) for z in LADDER_Z_GRID
+    ladder = [(n, z) for n in range(LADDER_N_MAX + 1) for z in LADDER_Z_GRID]
+    specs = [
+        *IDENTITY_SPECS,
+        *SWAP_SPECS,
+        *(spec for n, z in ladder for spec in _ladder_specs(n, z, prec)),
+        AUDIT_SPEC,
+        *RELATIONS_SPECS,
     ]
-    parts = [
-        check_identity(tol, prec),
-        check_order_swap(tol, prec),
-        *ladder,
-        audit_published_tables(tol, prec),
-        check_relations(tol, prec),
-    ]
-    results = integral_In_numeric_many([spec for specs, _ in parts for spec in specs], prec)
-    values = (result.value for result in results)
-    identity, swap, *ladder, audit, relations = (
-        compare([next(values) for _ in specs]) for specs, compare in parts
-    )
+    results = integral_In_numeric_many(specs, prec)
+    values = dict(zip(specs, (result.value for result in results)))
+    # first, so that the swap's quadratures run before the inner grid's: the
+    # order in which the suite's pinned quadrature stops are recorded
+    swap = check_order_swap(values, tol, prec)
     reports = [
         check_structure(),
-        identity,
+        check_identity(values, tol, prec),
         check_inner_closed_form(tol, prec),
         swap,
-        *ladder,
-        *audit,
+        *(check_derivative_step(values, n, z, prec) for n, z in ladder),
+        *audit_published_tables(values, tol, prec),
         check_exact_to_float(),
-        relations,
+        check_relations(values, tol, prec),
     ]
     return SuiteResult(reports)

@@ -2,9 +2,11 @@
 
 The package's __init__ is exempt: it imports names to re-export them.  Its
 namespace is checked instead: what it binds and what __all__ names agree.
+Every function the benchmark's tracer wraps by name must exist.
 """
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -12,7 +14,8 @@ import pytest
 
 import ellipkint
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ellipkint"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ellipkint"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -52,3 +55,22 @@ def test_the_package_namespace_matches_its_all():
 def test_a_removed_name_is_not_in_the_package_namespace(name):
     # each lives in its own module: ellipkint.quadrature, ellipkint.quadfield
     assert not hasattr(ellipkint, name)
+
+
+def _traced_names():
+    """module.name for every function perfbench/worker.py's TRACED wraps, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8"))
+    (traced,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and "TRACED" in [getattr(t, "id", None) for t in node.targets]
+    ]
+    return [f"{module}.{name}" for module, names in ast.literal_eval(traced).items() for name in names]
+
+
+@pytest.mark.parametrize("traced", _traced_names())
+def test_every_traced_name_is_a_function_of_its_module(traced):
+    # the benchmark's tracer wraps these by name and reports a missing one as
+    # absent, so removing or renaming one breaks the benchmark, not the library
+    module, name = traced.split(".")
+    assert callable(getattr(importlib.import_module(f"ellipkint.{module}"), name, None))

@@ -13,6 +13,7 @@ from ellipkint import (
     exact_value_from_json,
     make_exact_value,
 )
+from ellipkint import cli
 from ellipkint.render import render, render_quadext
 
 F = Fraction
@@ -86,6 +87,52 @@ def test_json_round_trip(label, n):
     v = eval_at_special(n, CATALOG[label])
     payload = json.loads(json.dumps(render(v, "json")))
     assert exact_value_from_json(payload) == v
+
+
+def _document(pi_coeff, pi_radicand, alg_coeff, alg_radicand):
+    """An exact-value document with rational coefficients and radicands, as written."""
+
+    def rational(text):
+        return {"a": text, "b": "0/1", "d": 1}
+
+    def term(coeff, radicand):
+        return {"coeff": rational(coeff), "surd": {"radicand": rational(radicand), "scale": "1/1"}}
+
+    return {"pi": term(pi_coeff, pi_radicand), "alg": term(alg_coeff, alg_radicand)}
+
+
+@pytest.mark.parametrize(
+    "document,expected,text",
+    [
+        (_document("1/1", "8/1", "0/1", "1/1"), make_exact_value(1, 8, 0, 1), "pi/(2*sqrt(2))"),
+        (_document("0/1", "1/1", "1/1", "1/4"), make_exact_value(0, 1, 2, 1), "2"),
+        (_document("0/1", "1/1", "0/1", "5/1"), make_exact_value(0, 1, 0, 1), "0"),
+    ],
+    ids=["pi-over-sqrt-8", "alg-radicand-1/4", "zero-over-sqrt-5"],
+)
+def test_json_reads_back_a_canonical_value(document, expected, text):
+    # a surd as written, not normalized, would render pi/sqrt(8) or 1/sqrt(1/4),
+    # and a zero term over sqrt(5) would compare unequal to zero
+    value = exact_value_from_json(document)
+    assert value == expected
+    assert render(value) == text
+
+
+def test_json_radicand_with_unknown_square_content_is_a_domain_error():
+    # as in make_exact_value: 2**61 - 1 leaves a cofactor too large to factor
+    with pytest.raises(DomainError, match="cannot factor"):
+        exact_value_from_json(_document("1/1", f"{2**61 - 1}/1", "0/1", "1/1"))
+
+
+def test_table_json_reads_back_value_for_value(capsys):
+    points = "1,3,1/3,cot2-pi-10,cot2-pi-12"
+    assert cli.main(["table", "--max-n", "100", "--points", points, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 505
+    for row in rows:
+        value = exact_value_from_json(row["value"])
+        assert value == eval_at_special(row["n"], CATALOG[row["point"]])
+        assert render(value, "json") == row["value"]
 
 
 def test_json_with_a_scaled_surd_is_rejected():

@@ -21,6 +21,7 @@ from ellipkint import (
     eval_at_special,
     inner_integral_closed,
     inner_integral_numeric_grid,
+    integral_In_numeric_many,
     make_exact_value,
     relation,
     run_suite,
@@ -216,6 +217,44 @@ def test_a_planted_fault_fails_exactly_the_checks_that_compare_it(monkeypatch, f
     suite = run_suite()
     assert [r.name for r in suite.reports if not r.passed] == failing
     assert suite.exit_status == 3
+
+
+# each check that compares I_n(z) quadratures, with the specs it compares
+CHECKS_ALONE = {
+    "check_identity": (
+        verify.IDENTITY_SPECS,
+        lambda values, prec: verify.check_identity(values, 1e-10, prec),
+    ),
+    "check_order_swap": (
+        verify.SWAP_SPECS,
+        lambda values, prec: verify.check_order_swap(values, 1e-10, prec),
+    ),
+    "check_derivative_step": (
+        verify._ladder_specs(2, F(3), Precision()),
+        lambda values, prec: verify.check_derivative_step(values, 2, F(3), prec),
+    ),
+    "audit_published_tables": (
+        [verify.AUDIT_SPEC],
+        lambda values, prec: verify.audit_published_tables(values, 1e-10, prec),
+    ),
+    "check_relations": (
+        verify.RELATIONS_SPECS,
+        lambda values, prec: verify.check_relations(values, 1e-10, prec),
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS_ALONE))
+def test_a_check_alone_gives_the_suites_report(suite, check):
+    # a check reads its values by spec, so a batch of its own specs alone
+    # gives it what the suite's whole batch gives it
+    specs, run = CHECKS_ALONE[check]
+    prec = Precision()
+    values = {spec: r.value for spec, r in zip(specs, integral_In_numeric_many(specs, prec))}
+    reports = run(values, prec)
+    by_name = {r.name: r for r in suite.reports}
+    for report in reports if isinstance(reports, list) else [reports]:
+        assert report == by_name[report.name]
 
 
 def test_derivative_ladder_names_z_as_given(suite):
