@@ -1,9 +1,9 @@
 """Two-route evaluation of the family ∫₀¹ K(k)·k/(z+k²)^(n+3/2) dk.
 
 The numeric route does tanh-sinh quadrature of the integral with an AGM
-kernel for K(k); the exact route differentiates a closed form symbolically
-and evaluates it over quadratic fields.  The verification module checks the
-two against each other.
+kernel for K(k); the exact route differentiates a closed form symbolically,
+and at special points runs identity (1)'s recurrence in n over quadratic
+fields.  The verification module checks the two against each other.
 """
 
 from .closedform import ClosedForm, In_exact_real, closed_form

@@ -67,7 +67,12 @@ _FORMS_LOCK = threading.Lock()
 
 
 def closed_form(n: int) -> ClosedForm:
-    """The exact route's form for I_n; the one place it checks n."""
+    """The closed form of I_n, built by the differentiation recurrence.
+
+    In_exact_real evaluates it and checks n only here.  At the special points
+    eval_at_special and in1_pair run the recurrence in n instead, and the
+    closed forms are their independent reference.
+    """
     check_index(n)
     if n >= len(_FORMS):
         with _FORMS_LOCK:

@@ -244,37 +244,9 @@ def _over_common_denominator(x: QuadExt) -> tuple[int, int, int]:
     return x.a.numerator * (r // x.a.denominator), x.b.numerator * (r // x.b.denominator), r
 
 
-def _polyval_pair(coefficients, p: int, q: int, r: int, d: int) -> tuple[int, int, int]:
-    """Integers (P, Q, s) with sum(c * z**i) == (P + Q*sqrt(d))/s at z = (p + q*sqrt(d))/r.
-
-    Horner's rule on the integer pair; s is r**deg.  An empty tuple is the
-    zero polynomial, (0, 0, 1).
-    """
-    if not coefficients:
-        return 0, 0, 1
-    qd = q * d
-    P, Q, scale = coefficients[-1], 0, 1
-    for c in reversed(coefficients[:-1]):
-        scale *= r
-        P, Q = P * p + Q * qd + c * scale, P * q + Q * p
-    return P, Q, scale
-
-
 def _pair_mul(x: tuple[int, int], y: tuple[int, int], d: int) -> tuple[int, int]:
     """(P, Q) with (x0 + x1*sqrt(d))*(y0 + y1*sqrt(d)) == P + Q*sqrt(d)."""
     return x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0]
-
-
-def _pair_pow(x: tuple[int, int], n: int, d: int) -> tuple[int, int]:
-    """(P, Q) with (x0 + x1*sqrt(d))**n == P + Q*sqrt(d) for n >= 0, by binary powering."""
-    result = (1, 0)
-    while n:
-        if n & 1:
-            result = _pair_mul(result, x, d)
-        n >>= 1
-        if n:
-            x = _pair_mul(x, x, d)
-    return result
 
 
 def surd_normalize(s: Surd) -> tuple[QuadExt, Surd]:

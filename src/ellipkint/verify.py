@@ -4,8 +4,9 @@ Everything here compares independent computations: quadrature of the
 integral against the closed-form recurrence, the order-swapped iterated
 integral against the direct one, the inner-integral closed form against its
 quadrature, the derivative ladder against finite differences, the exact
-engine against the hard-coded published value tables, and the exact values
-in floating point against the closed form's floating evaluation.
+engine against the hard-coded published value tables, the exact values in
+floating point against the closed form's floating evaluation, and the
+recurrence in n's pairs at z = 1 against the closed form's.
 """
 
 from __future__ import annotations
@@ -256,18 +257,20 @@ def audit_published_tables(values, tol, prec) -> list[CheckReport]:
 def check_relations(values, tol, prec) -> CheckReport:
     """Pairwise rational relations between sqrt(2)*I_n(1) values, n <= RELATIONS_MAX_INDEX.
 
-    Exactness: every (a_k, b_k) that in1_pair reads off the closed form,
-    read as the exact value (a_k + b_k*pi)/sqrt(2), must equal
-    eval_at_special's at z = 1.  The numeric side replays each relation with
-    the values of RELATIONS_SPECS.
+    Exactness: every (a_k, b_k) that in1_pair reads off the recurrence in n
+    must equal the closed form's reading at z = 1, where ArcCot(1) = pi/4 and
+    z(z+1) = z+1 = 2: a_k = prefactor*B_k(1)/2**k and
+    b_k = prefactor*A_k(1)/2**(k+2).  The numeric side replays each relation
+    with the values of RELATIONS_SPECS.
     """
     indices = range(RELATIONS_MAX_INDEX + 1)
     pairs = [in1_pair(k) for k in indices]
-    # exact: each pair, read as (a_k + b_k*pi)/sqrt(2), must be the exact value at z = 1
-    exact = [
-        make_exact_value(b, 2, a, 2) == eval_at_special(k, CATALOG["1"])
-        for k, (a, b) in enumerate(pairs)
-    ]
+    exact = []
+    for k in indices:
+        form = closed_form(k)
+        a = form.prefactor * Fraction(sum(form.B), 2**k)
+        b = form.prefactor * Fraction(sum(form.A), 2 ** (k + 2))
+        exact.append(pairs[k] == (a, b))
     errors = {}
     with prec.workdps():
         sqrt2 = mpmath.sqrt(2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from mpmath import mpf
 
@@ -13,7 +13,6 @@ from ellipkint.quadfield import (
     Surd,
     _over_common_denominator,
     _pair_sign,
-    _polyval_pair,
     square_part,
     surd_normalize,
 )
@@ -228,23 +227,3 @@ def test_normalize_idempotent_and_value_preserving(a, b, d):
         original = mpmath.sqrt(radicand.to_mpf())
         assert abs(multiplier.to_mpf() * u.to_mpf() - original) < mpf("1e-25")
     assert surd_normalize(u) == (QuadExt(1), u)
-
-
-coefficient_tuples = st.lists(
-    st.one_of(st.integers(-1000, 1000), st.integers(-(10**40), 10**40)), max_size=12
-).map(tuple)
-
-
-@given(coefficient_tuples, elements)
-@example((), qe(F(3, 4), F(-5, 6), 5))
-@example((7,), qe(F(3, 4), F(-5, 6), 5))
-@example((3, -(10**35), 10**31 + 7, -2), qe(F(-7, 10), F(9, 4), 2))
-@example((1, 2, 3), qe(F(2, 9), F(1, 6), 3))
-@example((10**30, -1, 0, 5), qe(F(5, 3), F(2, 7), 7))
-def test_polyval_matches_a_power_sum(coefficients, z):
-    # the reference is Σ c·zⁱ in QuadExt over running powers of z
-    want, power = QuadExt(F(0)), QuadExt(F(1))
-    for c in coefficients:
-        want, power = want + c * power, power * z
-    P, Q, scale = _polyval_pair(coefficients, *_over_common_denominator(z), z.d)
-    assert QuadExt(F(P, scale), F(Q, scale), z.d) == want

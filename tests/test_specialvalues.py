@@ -1,10 +1,17 @@
+import os
+import random
+import subprocess
+import sys
+import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mpf
 
+import ellipkint
 from ellipkint import (
     CATALOG,
     DomainError,
@@ -16,6 +23,7 @@ from ellipkint import (
     make_exact_value,
     relation,
 )
+from ellipkint import closedform, specialvalues
 from ellipkint.closedform import closed_form
 from ellipkint.quadfield import UNIT_SURD, Surd
 from ellipkint.specialvalues import in1_pair
@@ -63,6 +71,18 @@ def test_in1_pair_is_the_exact_value_at_1_decomposed():
         assert make_exact_value(b, 2, a, 2) == eval_at_special(k, CATALOG["1"])
 
 
+def test_in1_pair_equals_the_closed_form_reading():
+    # the recurrence's pair against the closed form at z = 1, where
+    # ArcCot(1) = pi/4 and z(z+1) = z+1 = 2
+    for k in range(101):
+        form = closed_form(k)
+        expected = (
+            form.prefactor * F(sum(form.B), 2**k),
+            form.prefactor * F(sum(form.A), 2 ** (k + 2)),
+        )
+        assert in1_pair(k) == expected, k
+
+
 def test_eval_cot_points():
     v = eval_at_special(0, CATALOG["cot2-pi-10"])
     assert v.pi_coeff == qe(F(1, 10))
@@ -108,10 +128,12 @@ EXTRA_POINTS = (
 )
 
 
-@pytest.mark.parametrize("point", [*CATALOG.values(), *EXTRA_POINTS], ids=lambda p: p.label)
-def test_eval_at_special_matches_field_arithmetic(point):
-    # the reference sums c·zⁱ over the powers of z and divides by (z(z+1))**n
-    # in QuadExt arithmetic, and normalizes both surds in make_exact_value at every n
+def field_arithmetic_values(point, n_max):
+    """I_n(z) for n <= n_max from the closed forms in QuadExt arithmetic.
+
+    Sums c·zⁱ over the powers of z, divides by (z(z+1))**n and normalizes
+    both surds in make_exact_value at every n.
+    """
     z = point.z
     w = z * (z + 1)
     power = QuadExt(1)
@@ -122,23 +144,110 @@ def test_eval_at_special_matches_field_arithmetic(point):
             z_powers.append(z_powers[-1] * z)
         return sum((c * p for c, p in zip(coefficients, z_powers)), QuadExt(0))
 
-    for n in range(121):
+    values = []
+    for n in range(n_max + 1):
         form = closed_form(n)
-        expected = make_exact_value(
-            form.prefactor * point.theta_over_pi * at_z(form.A) / power,
-            w,
-            form.prefactor * at_z(form.B) / power,
-            z + 1,
+        values.append(
+            make_exact_value(
+                form.prefactor * point.theta_over_pi * at_z(form.A) / power,
+                w,
+                form.prefactor * at_z(form.B) / power,
+                z + 1,
+            )
         )
-        assert eval_at_special(n, point) == expected, n
         power *= w
+    return values
+
+
+ALL_POINTS = [*CATALOG.values(), *EXTRA_POINTS]
+
+
+def fresh_copy(point):
+    """An equal point whose recurrence has not yet run."""
+    return SpecialPoint(point.label, point.z, point.theta_over_pi)
+
+
+@pytest.mark.parametrize("point", ALL_POINTS, ids=lambda p: p.label)
+def test_eval_at_special_matches_field_arithmetic(point):
+    for n, expected in enumerate(field_arithmetic_values(point, 120)):
+        assert eval_at_special(n, point) == expected, n
+
+
+@pytest.mark.parametrize("point", ALL_POINTS, ids=lambda p: p.label)
+def test_recurrence_gives_the_same_values_in_any_order(point):
+    # a shuffled order extends the states by several steps at once, or not at all
+    orders = list(range(61))
+    random.Random(point.label).shuffle(orders)
+    shuffled, in_order = fresh_copy(point), fresh_copy(point)
+    got = {n: eval_at_special(n, shuffled) for n in orders}
+    expected = field_arithmetic_values(point, 60)
+    assert [eval_at_special(n, in_order) for n in range(61)] == expected
+    assert [got[n] for n in range(61)] == expected
+
+
+def test_two_threads_extend_one_point_as_one_thread_does():
+    point = CATALOG["cot2-pi-12"]
+    single = fresh_copy(point)
+    expected = {n: eval_at_special(n, single) for n in (200, 300)}
+    shared, got = fresh_copy(point), {}
+
+    def ask(n):
+        got[n] = eval_at_special(n, shared)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(n,)) for n in (300, 200)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
+
+
+def test_exact_route_at_special_points_builds_no_closed_form(monkeypatch):
+    n = 150
+    expected_value = eval_at_special(n, fresh_copy(CATALOG["cot2-pi-10"]))
+    expected_pairs = [in1_pair(k) for k in (n - 1, n)]
+
+    def refuse(n):
+        raise AssertionError("closed_form called")
+
+    monkeypatch.setattr(closedform, "closed_form", refuse)
+    monkeypatch.setattr(specialvalues, "closed_form", refuse, raising=False)
+    # a fresh z = 1 point, so that in1_pair runs its steps under the patch too
+    monkeypatch.setitem(CATALOG, "1", fresh_copy(CATALOG["1"]))
+    assert eval_at_special(n, fresh_copy(CATALOG["cot2-pi-10"])) == expected_value
+    assert [in1_pair(k) for k in (n - 1, n)] == expected_pairs
+
+
+def test_cold_deep_value_holds_little_memory():
+    # a fresh process, so that no earlier test has filled the caches; the
+    # closed forms up to n = 500 alone would take about 100 MB
+    code = (
+        "import tracemalloc\n"
+        "from ellipkint import CATALOG, eval_at_special\n"
+        "tracemalloc.start()\n"
+        "eval_at_special(500, CATALOG['cot2-pi-12'])\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = str(Path(ellipkint.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 10_000_000
 
 
 def test_per_point_constants_stay_out_of_equality_and_hash():
     fresh = SpecialPoint("cot2-pi-10", qe(5, 2, 5), F(1, 10))
     used = SpecialPoint("cot2-pi-10", qe(5, 2, 5), F(1, 10))
     eval_at_special(3, used)
-    assert "_constants" in vars(used) and "_constants" not in vars(fresh)
+    for cache in ("_constants", "_recurrence"):
+        assert cache in vars(used) and cache not in vars(fresh)
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert {used: 1}[fresh] == 1
     assert used != SpecialPoint("other", qe(5, 2, 5), F(1, 10))

@@ -89,6 +89,25 @@ def test_relations_miss_reads_inf(monkeypatch, part):
     assert "worst at n=0, m=2" in report.notes  # the first pair with k = 2
 
 
+def test_relations_compare_the_pairs_with_the_closed_form(monkeypatch):
+    # B_2(1) one off: in1_pair, read off the recurrence, no longer equals the
+    # closed form's a_2, so every relation through k = 2 reads inf
+    real = verify.closed_form
+
+    def perturbed(n):
+        form = real(n)
+        if n == 2:
+            form = dataclasses.replace(form, B=(form.B[0] + 1, *form.B[1:]))
+        return form
+
+    monkeypatch.setattr(verify, "closed_form", perturbed)
+    suite = run_suite()
+    (report,) = reports_named(suite, "pairwise rational relations")
+    assert not report.passed
+    assert report.max_error == math.inf
+    assert "worst at n=0, m=2" in report.notes
+
+
 def test_reports_are_self_consistent(suite):
     for report in suite.reports:
         assert report.passed == (report.max_error <= report.tolerance)
