@@ -28,11 +28,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-# Largest family index any command accepts.  It bounds eval's exact column,
-# In_exact_real, which builds every closed form up to n; their coefficients
-# grow to thousands of digits, so cost grows about as n³: closed_form(500)
-# takes ~0.5 s and ~128 MB, closed_form(1500) ~12 s.  identity, table and
-# relation run the recurrence in n and build none.  The library is uncapped.
+# Largest family index any command accepts.  It bounds the exact documents:
+# an order-n coefficient has O(n) digits and table prints every order up to
+# --max-n, so `table --max-n 500` at the five catalog points writes 6.5 MB.
+# eval's exact column costs n floating steps.  The library is uncapped.
 MAX_N = 500
 
 # z is kept exact and printed in full; Python refuses to print an integer of

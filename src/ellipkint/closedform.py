@@ -1,4 +1,4 @@
-"""Exact closed forms for the integral family.
+"""Exact closed forms for the integral family, and its floating route.
 
 The n-th derivative of F(z) = ArcCot(sqrt(z)) / sqrt(z(z+1)) stays in the shape
 
@@ -17,22 +17,22 @@ these read
     b_j -> 2(j-m)*b_j + (2j-4m-3)*b_{j-1} - a_j
 
 The family value is then I_n(z) = (-2)**n / (2n+1)!! * F^(n)(z), in which
-the 2**n cancels.  The recurrence is cross-checked against quadrature and
-finite differences by the verification suite before anything downstream
-trusts it.
+the 2**n cancels.  No route evaluates these forms: In_exact_real and the
+exact route (specialvalues) run identity (1)'s recurrence in n, and the
+closed forms are the independent reference the tests and the verification
+suite hold it to.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
 
-from .precision import DEFAULT_PRECISION, Precision, check_index, check_z, to_mpf
+from .precision import DEFAULT_PRECISION, Precision, check_index, check_z
 
 
 @dataclass(frozen=True)
@@ -61,33 +61,32 @@ def _next_form(form: ClosedForm) -> ClosedForm:
     )
 
 
-# closed_form(n) for every n < len(_FORMS), extended in order under _FORMS_LOCK
-_FORMS = [ClosedForm(0, (1,), ())]
-_FORMS_LOCK = threading.Lock()
-
-
 def closed_form(n: int) -> ClosedForm:
-    """The closed form of I_n, built by the differentiation recurrence.
-
-    In_exact_real evaluates it and checks n only here.  At the special points
-    eval_at_special and in1_pair run the recurrence in n instead, and the
-    closed forms are their independent reference.
-    """
+    """The closed form of I_n, built afresh from n = 0 by the differentiation recurrence."""
     check_index(n)
-    if n >= len(_FORMS):
-        with _FORMS_LOCK:
-            while len(_FORMS) <= n:
-                _FORMS.append(_next_form(_FORMS[-1]))
-    return _FORMS[n]
+    form = ClosedForm(0, (1,), ())
+    for _ in range(n):
+        form = _next_form(form)
+    return form
 
 
 def In_exact_real(n: int, z, prec: Precision = DEFAULT_PRECISION) -> mpf:
-    """Floating-point evaluation of the closed-form route for I_n(z)."""
-    form = closed_form(n)
+    """I_n(z) in floating point by identity (1)'s recurrence in n, run forward:
+
+        (2k+1)(2k+3)*z(z+1)*I_{k+1} = (2k+1)**2*(2z+1)*I_k - 4k**2*I_{k-1} + (z+1)**(-k-1/2)
+
+    from I_{-1} = 0 and I_0 = ArcCot(sqrt(z))/sqrt(z(z+1)).  It is stable: I_n ~ z**(-n)
+    is the dominant solution (the characteristic roots are 1/z and 1/(z+1)),
+    and the one subtraction per step cancels by at most a factor of about 2.
+    """
+    check_index(n)
     with prec.workdps():
         z = check_z(z)
-        arccot = mpmath.atan(1 / mpmath.sqrt(z))
-        # mpmath.polyval reads coefficients in descending powers; A_n and B_n ascend
-        a, b = mpmath.polyval(form.A[::-1], z), mpmath.polyval(form.B[::-1], z)
-        bracket = a * arccot / mpmath.sqrt(z * (z + 1)) + b / mpmath.sqrt(z + 1)
-        return to_mpf(form.prefactor) * bracket / (z * (z + 1)) ** n
+        zp1, t = z + 1, 2 * z + 1
+        w, g = z * zp1, 1 / mpmath.sqrt(zp1)  # g = (z+1)**(-k-1/2), one division per step
+        previous, value = mpf(0), mpmath.atan(1 / mpmath.sqrt(z)) / mpmath.sqrt(w)
+        for k in range(n):
+            odd = 2 * k + 1
+            previous, value = value, (odd * odd * t * value - 4 * k * k * previous + g) / (odd * (odd + 2) * w)
+            g /= zp1
+        return value

@@ -1,11 +1,11 @@
 """Cross-verification harness for the two evaluation routes.
 
 Everything here compares independent computations: quadrature of the
-integral against the closed-form recurrence, the order-swapped iterated
+integral against the recurrence in n, the order-swapped iterated
 integral against the direct one, the inner-integral closed form against its
 quadrature, the derivative ladder against finite differences, the exact
 engine against the hard-coded published value tables, the exact values in
-floating point against the closed form's floating evaluation, and the
+floating point against the recurrence in n run in floating point, and the
 recurrence in n's pairs at z = 1 against the closed form's.
 """
 
@@ -90,7 +90,7 @@ LADDER_REL_TOL = 1e-6
 RELATIONS_MAX_INDEX = 10
 # check_exact_to_float's orders
 EXACT_N_GRID = (0, 1, 5, 20, 40)
-# check_structure's order covers every closed form the other checks compare
+# check_structure's order covers the closed forms check_relations compares
 STRUCTURE_N_MAX = 12
 
 # A check that compares I_n(z) quadratures takes `values`, a mapping from
@@ -107,7 +107,7 @@ RELATIONS_SPECS = tuple(IntegralSpec(k, 1) for k in range(RELATIONS_MAX_INDEX + 
 
 
 def check_identity(values, tol, prec) -> CheckReport:
-    """|quadrature(LHS) - closed form(RHS)| over IDENTITY_SPECS."""
+    """|quadrature(LHS) - In_exact_real(RHS)| over IDENTITY_SPECS."""
     errors = {}
     with prec.workdps():
         for spec in IDENTITY_SPECS:
@@ -179,7 +179,8 @@ def check_exact_to_float() -> CheckReport:
 
     Runs for n in EXACT_N_GRID at DEFAULT_PRECISION, with tolerance 1e-35.
     At the irrational points an exact value's a and b·√d grow large with
-    opposite signs, so a conversion that lets them cancel fails here.
+    opposite signs, so a conversion that lets them cancel fails here against
+    In_exact_real, which runs the recurrence in n in mpf and forms neither.
     """
     errors = {}
     with DEFAULT_PRECISION.workdps():

@@ -11,9 +11,19 @@ import pytest
 from mpmath import mpf
 
 import ellipkint
-from ellipkint import DomainError, In_exact_real, Precision, closed_form
+from ellipkint import DomainError, In_exact_real, Precision, closed_form, closedform
 
 F = Fraction
+
+
+def run_fresh(code):
+    """What `code` prints, run in a fresh interpreter that imports this ellipkint."""
+    src = str(Path(ellipkint.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def odd_double_factorial(n):
@@ -65,11 +75,7 @@ def test_deep_order_needs_no_recursion():
         "sys.setrecursionlimit(200)\n"
         "assert len(closed_form(500).A) == 501\n"
     )
-    src = str(Path(ellipkint.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    run_fresh(code)
 
 
 @pytest.mark.parametrize("n", [False, True])
@@ -97,26 +103,51 @@ def test_exact_real_published_values():
 
 
 @pytest.mark.parametrize("dps", [20, 50, 100])
-def test_exact_real_matches_exactly_evaluated_polynomials(dps):
+def test_exact_real_matches_exactly_evaluated_polynomials(dps, closed_forms):
     # A_n(z) and B_n(z) summed as Fractions over running powers of z, then the
-    # bracket formed at three times the digits: In_exact_real must hold its dps
+    # bracket formed at three times the digits: In_exact_real must hold its dps,
+    # also far out, where the recurrence runs 200 steps at z = 1e-30 and 1e30
     def at(coefficients, z):
         total, power = F(0), F(1)
         for c in coefficients:
             total, power = total + c * power, power * z
         return total
 
-    for z in (F(1, 10**6), F(1, 10), F(1), F(67, 10), F(10**8)):
-        for n in (0, 1, 2, 5, 10, 20, 40, 80, 120):
-            got = In_exact_real(n, z, Precision(dps=dps))
-            form = closed_form(n)
-            with mpmath.workdps(3 * dps):
-                zf = mpf(z.numerator) / z.denominator
-                a, b = (mpf(p.numerator) / p.denominator for p in (at(form.A, z), at(form.B, z)))
-                bracket = a * mpmath.acot(mpmath.sqrt(zf)) / mpmath.sqrt(zf * (zf + 1)) + b / mpmath.sqrt(zf + 1)
-                scale = mpf(form.prefactor.numerator) / form.prefactor.denominator
-                expected = scale * bracket / (zf * (zf + 1)) ** n
-                assert abs(got / expected - 1) < mpf(10) ** -dps, (n, z)
+    orders = (0, 1, 2, 5, 10, 20, 40, 80, 120)
+    near = [(n, z) for z in (F(1, 10**6), F(1, 10), F(1), F(67, 10), F(10**8)) for n in orders]
+    for n, z in [*near, (200, F(1, 10**30)), (200, F(10**30))]:
+        got = In_exact_real(n, z, Precision(dps=dps))
+        form = closed_forms[n]
+        with mpmath.workdps(3 * dps):
+            zf = mpf(z.numerator) / z.denominator
+            a, b = (mpf(p.numerator) / p.denominator for p in (at(form.A, z), at(form.B, z)))
+            bracket = a * mpmath.acot(mpmath.sqrt(zf)) / mpmath.sqrt(zf * (zf + 1)) + b / mpmath.sqrt(zf + 1)
+            scale = mpf(form.prefactor.numerator) / form.prefactor.denominator
+            expected = scale * bracket / (zf * (zf + 1)) ** n
+            assert abs(got / expected - 1) < mpf(10) ** -dps, (n, z)
+
+
+def test_exact_real_reaches_no_closed_form(monkeypatch):
+    expected = [In_exact_real(500, 2), In_exact_real(40, F(1, 10))]
+
+    def refuse(*args):
+        raise AssertionError("a closed form was built")
+
+    monkeypatch.setattr(closedform, "closed_form", refuse)
+    monkeypatch.setattr(closedform, "_next_form", refuse)
+    assert [In_exact_real(500, 2), In_exact_real(40, F(1, 10))] == expected
+
+
+def test_cold_exact_real_holds_little_memory():
+    # a fresh process; the closed forms up to n = 500 alone would take about 100 MB
+    code = (
+        "import tracemalloc\n"
+        "from ellipkint import In_exact_real\n"
+        "tracemalloc.start()\n"
+        "In_exact_real(500, 2)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    assert int(run_fresh(code)) < 10_000_000
 
 
 def test_exact_real_domain():
@@ -130,7 +161,7 @@ def test_exact_real_domain():
 
 @pytest.mark.parametrize("n", [1.0, F(1)])
 def test_closed_form_rejects_non_index(n):
-    # closed_form is the exact route's one check on n, reached by In_exact_real too
+    # closed_form and In_exact_real check n by the one rule, check_index
     with pytest.raises(DomainError, match="family index n"):
         closed_form(n)
     with pytest.raises(DomainError, match="family index n"):

@@ -24,7 +24,6 @@ from ellipkint import (
     relation,
 )
 from ellipkint import closedform, specialvalues
-from ellipkint.closedform import closed_form
 from ellipkint.quadfield import UNIT_SURD, Surd
 from ellipkint.specialvalues import in1_pair
 
@@ -71,11 +70,11 @@ def test_in1_pair_is_the_exact_value_at_1_decomposed():
         assert make_exact_value(b, 2, a, 2) == eval_at_special(k, CATALOG["1"])
 
 
-def test_in1_pair_equals_the_closed_form_reading():
+def test_in1_pair_equals_the_closed_form_reading(closed_forms):
     # the recurrence's pair against the closed form at z = 1, where
     # ArcCot(1) = pi/4 and z(z+1) = z+1 = 2
     for k in range(101):
-        form = closed_form(k)
+        form = closed_forms[k]
         expected = (
             form.prefactor * F(sum(form.B), 2**k),
             form.prefactor * F(sum(form.A), 2 ** (k + 2)),
@@ -128,8 +127,8 @@ EXTRA_POINTS = (
 )
 
 
-def field_arithmetic_values(point, n_max):
-    """I_n(z) for n <= n_max from the closed forms in QuadExt arithmetic.
+def field_arithmetic_values(point, n_max, closed_forms):
+    """I_n(z) for n <= n_max from closed_forms[n] in QuadExt arithmetic.
 
     Sums c·zⁱ over the powers of z, divides by (z(z+1))**n and normalizes
     both surds in make_exact_value at every n.
@@ -146,7 +145,7 @@ def field_arithmetic_values(point, n_max):
 
     values = []
     for n in range(n_max + 1):
-        form = closed_form(n)
+        form = closed_forms[n]
         values.append(
             make_exact_value(
                 form.prefactor * point.theta_over_pi * at_z(form.A) / power,
@@ -168,19 +167,19 @@ def fresh_copy(point):
 
 
 @pytest.mark.parametrize("point", ALL_POINTS, ids=lambda p: p.label)
-def test_eval_at_special_matches_field_arithmetic(point):
-    for n, expected in enumerate(field_arithmetic_values(point, 120)):
+def test_eval_at_special_matches_field_arithmetic(point, closed_forms):
+    for n, expected in enumerate(field_arithmetic_values(point, 120, closed_forms)):
         assert eval_at_special(n, point) == expected, n
 
 
 @pytest.mark.parametrize("point", ALL_POINTS, ids=lambda p: p.label)
-def test_recurrence_gives_the_same_values_in_any_order(point):
+def test_recurrence_gives_the_same_values_in_any_order(point, closed_forms):
     # a shuffled order extends the states by several steps at once, or not at all
     orders = list(range(61))
     random.Random(point.label).shuffle(orders)
     shuffled, in_order = fresh_copy(point), fresh_copy(point)
     got = {n: eval_at_special(n, shuffled) for n in orders}
-    expected = field_arithmetic_values(point, 60)
+    expected = field_arithmetic_values(point, 60, closed_forms)
     assert [eval_at_special(n, in_order) for n in range(61)] == expected
     assert [got[n] for n in range(61)] == expected
 

@@ -287,10 +287,11 @@ def test_derivative_ladder_names_z_as_given(suite):
 
 # sha256 of `ellipkint verify --format json` (the default suite, indent=2),
 # as computed once quadratures stopped on d_L²/d_(L−1) from level 3 on, the
-# suite gained the exact-to-float check and the reports' field became max_error
-DEFAULT_SUITE_SHA256 = "ecb67a901199599f0a25e9835646c1e5b013d692815b500deafb507ed0f4aac8"
+# suite gained the exact-to-float check, the reports' field became max_error
+# and In_exact_real ran the recurrence in n
+DEFAULT_SUITE_SHA256 = "428e2a3f1339b100ae007e55855e6e1f3e027ef6a96d85ba35066133171c0fcc"
 # sha256 of the text report of the same suite, as `ellipkint verify` prints it
-DEFAULT_SUITE_TEXT_SHA256 = "07f65738a8adccec62f4941e9a6e7546d7f07d7f5dd312d32a5ef7d9d614b378"
+DEFAULT_SUITE_TEXT_SHA256 = "a3a38adab61f657a97bf3522cc538a1f56f21cd0e5b5fcf768d4a5077690368a"
 
 
 def test_default_suite_output_pinned(suite):
